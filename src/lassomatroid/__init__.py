@@ -11,7 +11,7 @@ of the tree from rank queries alone.
 """
 
 from .errors import NewickError, ScaleBoundError
-from .exact import LinearSystem, RationalMatrix, feasible, kernel_basis, rank, solve_coordinates
+from .exact import LinearSystem, feasible, kernel_basis, rank, solve_coordinates
 from .lasso import (BipartiteReport, LassoReport, TopologicalRankReport,
                     bipartite_analysis, is_minimal_strong_lasso, is_t_cover,
                     is_topological_lasso, lasso_report, leaf_bipartitions,

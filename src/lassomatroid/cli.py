@@ -16,11 +16,10 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from . import lasso, matroid, reconstruct, stargraph
 from .errors import NewickError, ScaleBoundError
-from .tree import all_cords, cord, enumerate_xtrees, parse_newick, quartet_topology
+from .tree import cord, enumerate_xtrees, parse_newick, quartet_topology
 
 ENV_MAX_LEAVES = "LASSO_MATROID_MAX_LEAVES"
 
@@ -118,20 +117,8 @@ def _find_edge_by_split(tree, split_text):
     leaves = frozenset(tree.leaves)
     if side_a | side_b != leaves or side_a & side_b:
         raise _UsageError("--split must partition the leaf set")
-    for eid in tree.edge_ids:
-        u, v = tuple(tree.edges[eid])
-        stack, seen = [u], {u, v}
-        reached = set()
-        while stack:
-            w = stack.pop()
-            label = tree.leaf_of_vertex(w)
-            if label is not None:
-                reached.add(label)
-            for nbr, _ in tree.neighbors(w):
-                if nbr not in seen:
-                    seen.add(nbr)
-                    stack.append(nbr)
-        if frozenset(reached) in (side_a, side_b):
+    for eid, ends in tree.edges.items():
+        if tree.side(eid, next(iter(ends))) in (side_a, side_b):
             return eid
     raise _UsageError(f"no edge induces the split {split_text!r}")
 
@@ -189,20 +176,7 @@ def _cmd_coloops(args):
 
 def _cmd_bases(args):
     tree, _ = _load_tree(args)
-    bound = _max_leaves(args, 7)
-    if args.parallel and args.parallel > 1 and not args.count:
-        nparts = args.parallel
-        ncords = len(all_cords(tree.leaves))
-
-        def part(k):
-            return list(matroid.bases(tree, max_leaves=bound,
-                                      first_index_filter=lambda i: i % nparts == k))
-
-        with ThreadPoolExecutor(max_workers=nparts) as pool:
-            chunks = list(pool.map(part, range(min(nparts, ncords))))
-        stream = (b for chunk in chunks for b in chunk)
-    else:
-        stream = matroid.bases(tree, max_leaves=bound)
+    stream = matroid.bases(tree, max_leaves=_max_leaves(args, 7))
     if args.count:
         print(sum(1 for _ in stream))
         return 0
@@ -392,8 +366,6 @@ def build_parser():
     add("coloops", _cmd_coloops)
     p = add("bases", _cmd_bases, max_leaves=True)
     p.add_argument("--count", action="store_true", help="print only the number of bases")
-    p.add_argument("--parallel", type=int, metavar="N",
-                   help="partition the search over N workers (same output order)")
     p = add("circuits", _cmd_circuits)
     p.add_argument("--max-size", type=int, default=None)
     p = add("star", _cmd_star, cords=True)

@@ -1,9 +1,11 @@
 """Exact rational linear algebra and linear feasibility.
 
-Everything here is exact: scalars are integers or ``fractions.Fraction``,
-rank decisions use fraction-free cross-multiplication, and the feasibility
-decider is Fourier-Motzkin elimination with strict/weak flags carried
-through each elimination step.  There is no floating point anywhere.
+Everything here is exact: scalars are integers or ``fractions.Fraction``.
+Every row elimination (rank, coordinates, kernels, the equality step of
+feasibility) runs through ``RowSpace`` and its fraction-free
+cross-multiplication; the feasibility decider then runs Fourier-Motzkin
+elimination with strict/weak flags carried through each step.  There is no
+floating point anywhere.
 """
 
 from __future__ import annotations
@@ -19,13 +21,6 @@ from .errors import ScaleBoundError
 _GROWTH_LIMIT = 1 << 64
 
 
-def _as_rows(matrix):
-    """Accept a RationalMatrix or any sequence of row sequences."""
-    if isinstance(matrix, RationalMatrix):
-        return matrix.rows
-    return [list(row) for row in matrix]
-
-
 def _integerize(row):
     """Scale a rational row to integers (rank and span are scale-invariant)."""
     denom = 1
@@ -38,67 +33,71 @@ def _integerize(row):
 
 
 class RowSpace:
-    """Incrementally built row space with exact elimination.
+    """Incrementally built row space: the one exact elimination kernel.
 
+    A row holds ``ncols`` main entries followed by ``tail`` carried entries.
     Rows are reduced against the stored echelon by cross-multiplication, so
-    integer rows stay integer.  ``add`` appends a new pivot row when the rank
-    grows and supports ``pop`` for depth-first backtracking; ``express``
-    returns exact rational coordinates of a vector over the inserted rows
-    when coefficient tracking is enabled.
+    integer rows stay integer; pivots are chosen among the main columns
+    only, and the tail rides along through every step.  A tail therefore
+    records what a residual is made of: with identity tails it holds the
+    combination of inserted rows, with a right-hand side it holds the
+    reduced constant.  ``add`` appends a new pivot row when the rank of the
+    main part grows and ``pop`` undoes it for depth-first backtracking.
+    Rows are used as given, not copied; a row of any other length than
+    ``ncols + tail`` is refused with ValueError.
     """
 
-    def __init__(self, ncols, track_coefficients=False):
+    def __init__(self, ncols, tail=0):
         self.ncols = ncols
-        self.track = track_coefficients
+        self.width = ncols + tail
         self._rows = []
         self._pivots = []
-        self._coeffs = []  # row of the pivot vector over the inserted rows
-        self._inserted = 0
 
     @property
     def rank(self):
         return len(self._rows)
 
-    def _reduce(self, row, coeff=None):
-        row = list(row)
-        for idx, (r, p) in enumerate(zip(self._rows, self._pivots)):
+    @property
+    def pivots(self):
+        """The pivot column of each stored row, in insertion order."""
+        return tuple(self._pivots)
+
+    def reduce(self, row):
+        """Residual of ``row`` (main entries, then tail) over the stored rows.
+
+        The residual is zero at every pivot column, and equals a nonzero
+        multiple of ``row`` minus a combination of the stored rows.
+        """
+        if len(row) != self.width:
+            raise ValueError(f"row of length {len(row)}, expected {self.width}")
+        for r, p in zip(self._rows, self._pivots):
             c = row[p]
             if c:
                 a = r[p]
                 row = [a * x - c * y for x, y in zip(row, r)]
-                if coeff is not None:
-                    rc = self._coeffs[idx]
-                    coeff = [a * x - c * y for x, y in zip(coeff, rc)]
-        big = max((abs(x) for x in row if x), default=0)
-        if big > _GROWTH_LIMIT and all(isinstance(x, int) for x in row):
-            g = 0
-            for x in row:
-                g = gcd(g, x)
-            if g > 1 and (coeff is None or all(isinstance(x, int) and x % g == 0 for x in coeff)):
-                row = [x // g for x in row]
-                if coeff is not None:
-                    coeff = [x // g for x in coeff]
-        return (row, coeff) if coeff is not None else row
+        return row
 
     def contains(self, row):
-        return not any(self._reduce(row))
+        """Whether the main part of ``row`` lies in the span of the stored rows."""
+        return not any(self.reduce(row)[:self.ncols])
 
     def add(self, row):
-        """Insert a row; returns True when it enlarged the span."""
-        if self.track:
-            coeff = [0] * self._inserted + [1]
-            for c in self._coeffs:
-                c.append(0)
-            self._inserted += 1
-            row, coeff = self._reduce(row, coeff)
-        else:
-            row = self._reduce(row)
-        for p, x in enumerate(row):
-            if x:
+        """Insert a row; returns True when it enlarged the span.
+
+        A stored integer row whose entries pass ``_GROWTH_LIMIT`` is divided
+        by its gcd, tail included, so later reductions stay small.
+        """
+        row = self.reduce(row)
+        for p in range(self.ncols):
+            if row[p]:
+                if (max(row) > _GROWTH_LIMIT or min(row) < -_GROWTH_LIMIT) \
+                        and all(isinstance(x, int) for x in row):
+                    g = 0
+                    for x in row:
+                        g = gcd(g, x)
+                    row = [x // g for x in row]
                 self._rows.append(row)
                 self._pivots.append(p)
-                if self.track:
-                    self._coeffs.append(coeff)
                 return True
         return False
 
@@ -106,123 +105,68 @@ class RowSpace:
         """Drop the most recently added pivot row (for DFS backtracking)."""
         self._rows.pop()
         self._pivots.pop()
-        if self.track:
-            self._coeffs.pop()
-
-    def express(self, target):
-        """Coordinates of ``target`` over the inserted rows, or None.
-
-        Requires coefficient tracking and that every inserted row became a
-        pivot (full row rank).
-        """
-        if not self.track:
-            raise ValueError("RowSpace built without coefficient tracking")
-        res = list(target)
-        out = [Fraction(0)] * self._inserted
-        for idx, (r, p) in enumerate(zip(self._rows, self._pivots)):
-            c = res[p]
-            if c:
-                f = Fraction(c) / Fraction(r[p])
-                res = [x - f * y for x, y in zip(res, r)]
-                rc = self._coeffs[idx]
-                out = [x + f * y for x, y in zip(out, rc)]
-        if any(res):
-            return None
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class RationalMatrix:
-    """Dense exact matrix; entries are ints or Fractions, row-major."""
-
-    rows: tuple
-
-    def __init__(self, rows):
-        normalized = tuple(tuple(x for x in row) for row in rows)
-        if normalized:
-            width = len(normalized[0])
-            if any(len(r) != width for r in normalized):
-                raise ValueError("ragged matrix rows")
-        object.__setattr__(self, "rows", normalized)
-
-    @property
-    def nrows(self):
-        return len(self.rows)
-
-    @property
-    def ncols(self):
-        return len(self.rows[0]) if self.rows else 0
-
-    def transpose(self):
-        return RationalMatrix(list(zip(*self.rows))) if self.rows else RationalMatrix(())
-
-    def rank(self):
-        return rank(self)
-
-    def kernel_basis(self):
-        return kernel_basis(self)
 
 
 def rank(matrix):
     """Exact rank via fraction-free elimination."""
-    rows = _as_rows(matrix)
+    rows = [_integerize(row) for row in matrix]
     if not rows:
         return 0
     space = RowSpace(len(rows[0]))
     for row in rows:
-        space.add(_integerize(row))
+        space.add(row)
     return space.rank
 
 
+def _unit(k, i):
+    return [0] * i + [1] + [0] * (k - i - 1)
+
+
 def solve_coordinates(basis_rows, target):
-    """Express ``target`` as the unique combination of ``basis_rows``.
+    """Coefficients of ``target`` as the unique combination of ``basis_rows``.
 
     Returns the coefficient tuple, or None when the target is outside the
     span.  Raises ValueError when the given rows are not independent, since
-    then no unique expression exists and the caller holds a bug.
+    then the coefficients are not unique and the caller holds a bug.
+
+    Each basis row carries a unit tail and the target carries one more, so
+    the target's residual ``s * target + sum(t_i * row_i)`` reads off the
+    coordinates ``-t_i / s`` once its main part vanishes.
     """
-    rows = _as_rows(basis_rows)
+    rows = [list(row) for row in basis_rows]
     if not rows:
         return None if any(target) else ()
-    space = RowSpace(len(rows[0]), track_coefficients=True)
-    for row in rows:
-        if not space.add(row):
+    k = len(rows)
+    space = RowSpace(len(rows[0]), tail=k + 1)
+    for i, row in enumerate(rows):
+        if not space.add(row + _unit(k + 1, i)):
             raise ValueError("basis rows are rank-deficient")
-    return space.express(target)
+    res = space.reduce(list(target) + _unit(k + 1, k))
+    if any(res[:space.ncols]):
+        return None
+    s = res[-1]
+    return tuple(Fraction(-t, s) for t in res[space.ncols:-1])
 
 
 def kernel_basis(matrix):
-    """Basis of the right null space {x : Mx = 0}, as Fraction tuples."""
-    rows = [[Fraction(x) for x in row] for row in _as_rows(matrix)]
+    """Basis of the right null space {x : Mx = 0}, as Fraction tuples.
+
+    The columns of M go in one by one with unit tails; a column that
+    reduces to zero leaves a kernel vector in its tail, scaled here so the
+    column's own entry is 1 (the reduced-row-echelon basis vector of that
+    free column).
+    """
+    rows = [_integerize(row) for row in matrix]
     if not rows:
         return []
     ncols = len(rows[0])
-    # reduced row echelon form
-    pivots = []
-    r = 0
-    for col in range(ncols):
-        pivot_row = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        pv = rows[r][col]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(col)
-        r += 1
-        if r == len(rows):
-            break
-    free_cols = [c for c in range(ncols) if c not in pivots]
+    space = RowSpace(len(rows), tail=ncols)
     basis = []
-    for free in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[free] = Fraction(1)
-        for i, col in enumerate(pivots):
-            vec[col] = -rows[i][free]
-        basis.append(tuple(vec))
+    for j, column in enumerate(zip(*rows)):
+        res = space.reduce(list(column) + _unit(ncols, j))
+        if not space.add(res):
+            tail = res[len(rows):]
+            basis.append(tuple(Fraction(x, tail[j]) for x in tail))
     return basis
 
 
@@ -281,45 +225,31 @@ def feasible(system, max_variables=24):
     if nvars > max_variables:
         raise ScaleBoundError(f"{nvars} variables exceeds the bound of {max_variables}")
 
-    ineqs = [(list(row), rhs, True) for row, rhs in system.strict_inequalities]
-    ineqs += [(list(row), rhs, False) for row, rhs in system.weak_inequalities]
-
-    # Reduce the equalities to reduced row echelon form [row | rhs].
-    aug = [list(row) + [rhs] for row, rhs in system.equalities]
-    pivot_cols = []
-    r = 0
-    for col in range(nvars):
-        pivot_row = next((i for i in range(r, len(aug)) if aug[i][col]), None)
-        if pivot_row is None:
+    # Echelon of the equalities [row | rhs]; a row that reduces to 0 = rhs
+    # with rhs nonzero is a contradiction.  Pivot entries are made positive,
+    # so reducing an inequality [row | rhs] against the echelon scales it by
+    # a positive factor and never flips its direction.
+    eqs = RowSpace(nvars, tail=1)
+    for row, rhs in system.equalities:
+        res = eqs.reduce(_integerize(row + (rhs,)))
+        lead = next((x for x in res[:nvars] if x), None)
+        if lead is None:
+            if res[-1]:
+                return False
             continue
-        aug[r], aug[pivot_row] = aug[pivot_row], aug[r]
-        pv = aug[r][col]
-        aug[r] = [x / pv for x in aug[r]]
-        for i in range(len(aug)):
-            if i != r and aug[i][col]:
-                c = aug[i][col]
-                aug[i] = [x - c * y for x, y in zip(aug[i], aug[r])]
-        pivot_cols.append(col)
-        r += 1
-        if r == len(aug):
-            break
-    if any(row[-1] for row in aug[r:]):
-        return False
+        eqs.add([-x for x in res] if lead < 0 else res)
 
-    # Substitute each pivot variable out of the inequalities.
-    for i, col in enumerate(pivot_cols):
-        prow, prhs = aug[i][:-1], aug[i][-1]
-        new_ineqs = []
-        for row, rhs, strict in ineqs:
-            c = row[col]
-            if c:
-                row = [x - c * y for x, y in zip(row, prow)]
-                rhs = rhs - c * prhs
-            new_ineqs.append((row, rhs, strict))
-        ineqs = new_ineqs
+    # Substitute the pivot variables out of the inequalities.
+    ineqs = []
+    for constraints, strict in ((system.strict_inequalities, True),
+                                (system.weak_inequalities, False)):
+        for row, rhs in constraints:
+            res = eqs.reduce(list(row) + [rhs])
+            ineqs.append((res[:nvars], res[-1], strict))
+    pivot_cols = set(eqs.pivots)
 
     # Fourier-Motzkin on the remaining variables.
-    remaining = [v for v in range(nvars) if v not in set(pivot_cols)]
+    remaining = [v for v in range(nvars) if v not in pivot_cols]
     for var in remaining:
         lowers, uppers, others = [], [], []
         for row, rhs, strict in ineqs:

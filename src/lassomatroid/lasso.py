@@ -105,24 +105,14 @@ def pointed_covers(tree, leaf):
     if not tree.is_binary():
         raise ValueError("pointed covers are defined for binary trees")
     anchor = leaf
-    anchor_vertex = tree.leaf_vertex(anchor)
+    tree.leaf_vertex(anchor)  # ValueError for a label that is not a leaf
     pendant = frozenset(cord(anchor, other) for other in tree.leaves if other != anchor)
     per_vertex = []
     for v in sorted(tree.interior_vertices, key=repr):
         sides = []
         anchor_side_found = False
         for w, eid in sorted(tree.neighbors(v), key=lambda p: repr(p)):
-            # leaves of the component of tree - v containing w
-            stack, seen, leaves_here = [w], {v, w}, []
-            while stack:
-                u = stack.pop()
-                label = tree.leaf_of_vertex(u)
-                if label is not None:
-                    leaves_here.append(label)
-                for nbr, _ in tree.neighbors(u):
-                    if nbr not in seen:
-                        seen.add(nbr)
-                        stack.append(nbr)
+            leaves_here = tree.side(eid, w)
             if anchor in leaves_here:
                 anchor_side_found = True
             else:
@@ -206,25 +196,8 @@ class LassoReport:
 
 def _connected_bipartition(tree, cords):
     """The unique two-sided split of a connected bipartite cord graph, or None."""
-    report = analyze(tree.leaves, cords)
-    if len(report.components) != 1 or not report.components[0].bipartite:
-        return None
-    adjacency = {v: [] for v in tree.leaves}
-    for a, b in cords:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    start = tree.leaves[0]
-    color = {start: False}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for w in adjacency[v]:
-            if w not in color:
-                color[w] = not color[v]
-                stack.append(w)
-    side_a = frozenset(v for v, c in color.items() if not c)
-    side_b = frozenset(v for v, c in color.items() if c)
-    return side_a, side_b
+    (component, *others) = analyze(tree.leaves, cords).components
+    return None if others else component.sides
 
 
 def lasso_report(tree, cords, max_leaves=6, pendant_strict=False):

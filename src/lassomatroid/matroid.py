@@ -100,13 +100,11 @@ def circuits(tree, max_size=None):
             yield cset
 
 
-def bases(tree, max_leaves=7, first_index_filter=None):
+def bases(tree, max_leaves=7):
     """All maximal independent cord sets, i.e. the tight edge-weight lassos.
 
     Depth-first search over independent sets with incremental elimination;
-    every emitted set has exactly one cord per edge of the tree.  The
-    optional ``first_index_filter`` predicate restricts the index of the
-    lexicographically first cord, so disjoint filters partition the stream.
+    every emitted set has exactly one cord per edge of the tree.
     """
     if tree.n_leaves > max_leaves:
         raise ScaleBoundError(
@@ -124,8 +122,6 @@ def bases(tree, max_leaves=7, first_index_filter=None):
         # not enough cords left to reach a full basis
         last = len(cords) - (target - len(chosen))
         for i in range(start, last + 1):
-            if not chosen and first_index_filter is not None and not first_index_filter(i):
-                continue
             if space.add(vectors[i]):
                 chosen.append(cords[i])
                 yield from extend(i + 1)
@@ -142,21 +138,34 @@ def coloops(tree):
     return frozenset(c for c in cords if rank_of(tree, cords - {c}) < full)
 
 
-class _Expresser:
-    """Coordinates of arbitrary cords over a fixed independent cord set."""
+def _collapse_residuals(rows, base, cords):
+    """Each cord with the f-part of its residual over a collapsed-tree basis.
 
-    def __init__(self, tree, base_cords):
-        self.order = sorted(base_cords)
-        self.space = RowSpace(len(tree.edge_ids), track_coefficients=True)
-        for c in self.order:
-            if not self.space.add(tree.path_vector(c)):
-                raise ValueError("cord set is not independent")
+    ``rows`` maps a cord to its collapsed-tree path vector with its full-tree
+    incidence of the collapsed edge f appended as a one-wide tail.  The
+    basis rows carry their f-incidences through the elimination, so a cord's
+    tail residual is (up to a nonzero factor) its own f-incidence minus the
+    coordinate-weighted f-incidence of the basis cords.
+    """
+    space = RowSpace(len(rows[cords[0]]) - 1, tail=1)
+    for b in sorted(base):
+        if not space.add(rows[b]):
+            raise ValueError("cord set is not independent in the collapsed tree")
+    reduce = space.reduce
+    for c in cords:
+        *main, weight = reduce(rows[c])
+        if any(main):
+            raise ValueError("cord set does not span the collapsed tree")
+        yield c, weight
 
-    def express(self, vector):
-        return self.space.express(vector)
+
+def _collapse_rows(tree, f, cords):
+    collapsed = tree.contract({f})
+    fcol = tree.edge_column[f]
+    return collapsed, {c: collapsed.path_vector(c) + (tree.path_vector(c)[fcol],) for c in cords}
 
 
-def contraction_extends(tree, f, base_cords, c, _expresser=None):
+def contraction_extends(tree, f, base_cords, c):
     """Whether a basis of the collapsed tree extends by ``c`` to one of the tree.
 
     ``base_cords`` must be a basis of ``tree.contract({f})``.  The cord's
@@ -165,63 +174,29 @@ def contraction_extends(tree, f, base_cords, c, _expresser=None):
     the incidence of edge ``f``: sum of coordinates of the basis cords whose
     full-tree path uses ``f`` differs from the f-incidence of ``c`` itself.
     """
-    collapsed = tree.contract({f})
-    ex = _expresser or _Expresser(collapsed, base_cords)
-    coords = ex.express(collapsed.path_vector(c))
-    fcol = tree.edge_column[f]
-    lhs = sum(r * tree.path_vector(b)[fcol] for r, b in zip(coords, ex.order))
-    return lhs != tree.path_vector(c)[fcol]
+    _, rows = _collapse_rows(tree, f, set(base_cords) | {c})
+    ((_, weight),) = _collapse_residuals(rows, base_cords, [c])
+    return weight != 0
 
 
 def contraction_bases(tree, f, max_leaves=7):
     """Bases of the tree, generated from the bases of the tree with ``f`` collapsed.
 
-    For each basis of the collapsed tree, every cord gets its exact
-    coordinates over the basis (in the collapsed tree) and joins it when the
-    coordinate-weighted f-incidence of the basis cords differs from the
-    cord's own f-incidence (see ``contraction_extends``); duplicates are
-    removed.  The set of results equals ``bases(tree)``.
-
-    The coordinate solve runs fraction-free: cross-multiplication keeps one
-    common denominator, and the inequality is tested after clearing it, so
-    the inner loop is integer-only yet exact.
+    For each basis of the collapsed tree, every cord joins it when its
+    coordinate-weighted f-incidence test passes (see ``contraction_extends``);
+    duplicates are removed.  The set of results equals ``bases(tree)``.
+    The test runs fraction-free in ``RowSpace`` with the f-incidence as a
+    carried tail, so the inner loop is integer-only yet exact.
     """
     if not tree.is_interior_edge(f):
         raise ValueError(f"edge {f} is pendant; collapse needs an interior edge")
-    collapsed = tree.contract({f})
-    fcol = tree.edge_column[f]
     cords = sorted(all_cords(tree.leaves))
-    vectors = {c: collapsed.path_vector(c) for c in cords}
-    f_incidence = {c: tree.path_vector(c)[fcol] for c in cords}
+    collapsed, rows = _collapse_rows(tree, f, cords)
     seen = set()
     for base in bases(collapsed, max_leaves=max_leaves):
-        # echelon of the basis over the collapsed edges, each row carrying its
-        # coordinate-combined f-incidence as one extra integer
-        echelon = []
-        for b in sorted(base):
-            vec = list(vectors[b])
-            weight = f_incidence[b]
-            for row, pivot, rweight in echelon:
-                c = vec[pivot]
-                if c:
-                    a = row[pivot]
-                    vec = [a * x - c * y for x, y in zip(vec, row)]
-                    weight = a * weight - c * rweight
-            pivot = next(i for i, x in enumerate(vec) if x)
-            echelon.append((vec, pivot, weight))
-        for c in cords:
-            res = list(vectors[c])
-            weight = f_incidence[c]
-            for row, pivot, rweight in echelon:
-                cc = res[pivot]
-                if cc:
-                    a = row[pivot]
-                    res = [a * x - cc * y for x, y in zip(res, row)]
-                    weight = a * weight - cc * rweight
-            if any(res):
-                raise AssertionError("collapsed-tree basis failed to span a cord")
+        for c, weight in _collapse_residuals(rows, base, cords):
             if weight != 0:
-                extended = frozenset(base) | {c}
+                extended = base | {c}
                 if extended not in seen:
                     seen.add(extended)
                     yield extended

@@ -23,6 +23,7 @@ class Component:
     bipartite: bool
     cycle_count: int
     odd_cycle: bool
+    sides: tuple | None   # the two colour classes of a bipartite component
 
 
 @dataclass(frozen=True)
@@ -42,7 +43,9 @@ def analyze(labels, cords):
     """Component decomposition of the cord graph on the given vertex set.
 
     Isolated vertices count as singleton components (bipartite, no cycles).
-    Each component records its cyclomatic number and a 2-coloring verdict.
+    Each component records its cyclomatic number and a 2-coloring verdict;
+    a bipartite one keeps its two colour classes, the one holding its
+    smallest vertex first.
     """
     labels = set(labels)
     cords = frozenset(cords)
@@ -72,8 +75,13 @@ def analyze(labels, cords):
         unvisited -= verts
         edges = frozenset(c for c in cords if c[0] in verts)
         cycle_count = len(edges) - len(verts) + 1
+        sides = None
+        if bipartite:
+            sides = (frozenset(v for v in verts if not color[v]),
+                     frozenset(v for v in verts if color[v]))
         components.append(Component(vertices=verts, edges=edges, bipartite=bipartite,
-                                    cycle_count=cycle_count, odd_cycle=not bipartite))
+                                    cycle_count=cycle_count, odd_cycle=not bipartite,
+                                    sides=sides))
     components.sort(key=lambda c: min(c.vertices))
     return ComponentReport(components=tuple(components))
 
@@ -120,22 +128,8 @@ def star_closure(labels, cords):
     for comp in report.components:
         if not comp.bipartite:
             odd_support |= comp.vertices
-        elif comp.edges:
-            side_a = set()
-            side_b = set()
-            color = {min(comp.vertices): False}
-            stack = [min(comp.vertices)]
-            adjacency = {v: [] for v in comp.vertices}
-            for a, b in comp.edges:
-                adjacency[a].append(b)
-                adjacency[b].append(a)
-            while stack:
-                v = stack.pop()
-                (side_b if color[v] else side_a).add(v)
-                for w in adjacency[v]:
-                    if w not in color:
-                        color[w] = not color[v]
-                        stack.append(w)
+        else:
+            side_a, side_b = comp.sides
             out |= {cord(a, b) for a in side_a for b in side_b}
     out |= {cord(a, b) for a, b in itertools.combinations(sorted(odd_support), 2)}
     return frozenset(out)

@@ -16,6 +16,7 @@ from fractions import Fraction
 from .errors import NewickError, ScaleBoundError
 
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
+WEIGHT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
 Cord = tuple  # unordered pair of leaf labels, stored sorted
 
@@ -197,6 +198,27 @@ class XTree:
             verts |= self._edges[eid]
         return verts
 
+    def side(self, eid, vertex):
+        """Leaf labels on ``vertex``'s side of edge ``eid``.
+
+        These are the leaves of the component containing ``vertex`` once the
+        edge is removed; the other side is their complement.
+        """
+        if vertex not in self._edges[eid]:
+            raise ValueError(f"vertex {vertex!r} is not an end of edge {eid}")
+        (beyond,) = self._edges[eid] - {vertex}
+        stack, seen, leaves = [vertex], {vertex, beyond}, set()
+        while stack:
+            v = stack.pop()
+            label = self._vertex_leaf.get(v)
+            if label is not None:
+                leaves.add(label)
+            for w, _ in self._adjacency[v]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        return frozenset(leaves)
+
     def cord_path(self, c):
         a, b = c
         return self.path_edges(self.leaf_vertex(a), self.leaf_vertex(b))
@@ -251,19 +273,36 @@ class XTree:
 
     # -- equivalence and serialization --------------------------------------
 
+    def _fold(self, make):
+        """Bottom-up value of the tree rooted next to its first leaf.
+
+        ``make(v, via_edge, child_values)`` gives a vertex's value from its
+        children's; the walk is iterative, so depth is unbounded.
+        """
+        root = self._adjacency[self.leaf_vertex(self.leaves[0])][0][0]
+        up = {root: (None, None)}   # vertex -> (parent, edge to it)
+        order = [root]
+        for v in order:
+            for w, eid in self._adjacency[v]:
+                if w not in up:
+                    up[w] = (v, eid)
+                    order.append(w)
+        children = {v: [] for v in order}
+        for v in reversed(order):
+            parent, via = up[v]
+            value = make(v, via, children[v])
+            if parent is not None:
+                children[parent].append(value)
+        return value
+
     def canonical_form(self):
         """Canonical string; equal strings == leaf-fixing isomorphism."""
         if self._canonical is None:
-            root = self._adjacency[self.leaf_vertex(self.leaves[0])][0][0]
-
-            def subtree(v, parent):
+            def make(v, _via, children):
                 label = self._vertex_leaf.get(v)
-                if label is not None:
-                    return label
-                parts = sorted(subtree(w, v) for w, _ in self._adjacency[v] if w != parent)
-                return "(" + ",".join(parts) + ")"
+                return label if label is not None else "(" + ",".join(sorted(children)) + ")"
 
-            self._canonical = subtree(root, None)
+            self._canonical = self._fold(make)
         return self._canonical
 
     def equivalent_to(self, other):
@@ -273,14 +312,13 @@ class XTree:
         """Canonical Newick text; optional exact weights rendered as p/q."""
         if weighting is not None and set(weighting) != set(self._edges):
             raise ValueError("weighting domain must be exactly the edge set")
-        root = self._adjacency[self.leaf_vertex(self.leaves[0])][0][0]
 
-        def render(v, parent, via_edge):
+        def make(v, via_edge, children):
             label = self._vertex_leaf.get(v)
             if label is not None:
                 key, text = label, label
             else:
-                parts = sorted(render(w, v, eid) for w, eid in self._adjacency[v] if w != parent)
+                parts = sorted(children)
                 key = "(" + ",".join(p[0] for p in parts) + ")"
                 text = "(" + ",".join(p[1] for p in parts) + ")"
             if weighting is not None and via_edge is not None:
@@ -288,8 +326,7 @@ class XTree:
                 text += ":" + (str(w.numerator) if w.denominator == 1 else f"{w.numerator}/{w.denominator}")
             return key, text
 
-        _, text = render(root, None, None)
-        return text + ";"
+        return self._fold(make)[1] + ";"
 
     def __repr__(self):
         return f"XTree({self.canonical_form()!r})"
@@ -446,47 +483,56 @@ def parse_newick(text):
         while pos < n and text[pos].isspace():
             pos += 1
 
-    def parse_node():
-        # returns (children, label, weight, position)
+    def finish(children, label, start):
+        # the optional ':weight' after a node; returns the parsed node
         nonlocal pos
+        skip_ws()
+        weight = None
+        if pos < n and text[pos] == ":":
+            pos += 1
+            m = WEIGHT_RE.match(text, pos)
+            if not m:
+                raise NewickError("expected a rational weight after ':'", pos)
+            weight = _parse_rational(m.group(0), pos)
+            pos = m.end()
+        return (children, label, weight, start)
+
+    # Nodes are (children, label, weight, position).  Open groups wait on an
+    # explicit stack, so nesting depth is bounded by memory, not recursion.
+    groups = []
+    root = None
+    while root is None:
         skip_ws()
         if pos >= n:
             raise NewickError("unexpected end of input", pos)
         start = pos
         if text[pos] == "(":
             pos += 1
-            children = [parse_node()]
+            groups.append(([], start))
+            continue
+        m = LABEL_RE.match(text, pos)
+        if not m:
+            raise NewickError(f"expected a leaf label, found {text[pos]!r}", pos)
+        pos = m.end()
+        node = finish([], m.group(0), start)
+        while groups:
+            children, group_start = groups[-1]
+            children.append(node)
             skip_ws()
-            while pos < n and text[pos] == ",":
+            if pos < n and text[pos] == ",":
                 pos += 1
-                children.append(parse_node())
-                skip_ws()
+                break
             if pos >= n or text[pos] != ")":
                 raise NewickError("expected ',' or ')'", pos)
             pos += 1
             skip_ws()
             if pos < n and LABEL_RE.match(text[pos]):
                 raise NewickError("labels on interior vertices are not supported", pos)
-            label = None
+            groups.pop()
+            node = finish(children, None, group_start)
         else:
-            m = LABEL_RE.match(text, pos)
-            if not m:
-                raise NewickError(f"expected a leaf label, found {text[pos]!r}", pos)
-            label = m.group(0)
-            pos = m.end()
-            children = []
-        skip_ws()
-        weight = None
-        if pos < n and text[pos] == ":":
-            pos += 1
-            m = re.match(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?", text[pos:])
-            if not m:
-                raise NewickError("expected a rational weight after ':'", pos)
-            weight = _parse_rational(m.group(0), pos)
-            pos += m.end()
-        return (children, label, weight, start)
+            root = node
 
-    root = parse_node()
     skip_ws()
     if pos >= n or text[pos] != ";":
         raise NewickError("expected ';'", pos)
@@ -507,8 +553,10 @@ def parse_newick(text):
     weights = {}
     label_pos = {}
 
-    def build(node, parent_vertex):
-        children, label, weight, position = node
+    # vertices and edges are numbered in preorder, children left to right
+    stack = [(root, None)]
+    while stack:
+        (children, label, weight, position), parent_vertex = stack.pop()
         vid = next(counter)
         if label is not None:
             if label in leaf_map:
@@ -520,11 +568,8 @@ def parse_newick(text):
             edges[eid] = frozenset((parent_vertex, vid))
             if weight is not None:
                 weights[eid] = weight
-        for child in children:
-            build(child, vid)
-        return vid
-
-    root_vertex = build(root, None)
+        stack.extend((child, vid) for child in reversed(children))
+    root_vertex = 0
 
     if len(root[0]) == 2:
         # unrooted convention: fuse the two edges at the outer grouping

@@ -39,13 +39,6 @@ def test_bases_count(capsys):
     assert out.strip() == "12"
 
 
-def test_bases_parallel_matches_serial(capsys):
-    code, serial, _ = run(capsys, "bases", "--newick", STAR4)
-    code2, parallel, _ = run(capsys, "bases", "--newick", STAR4, "--parallel", "3")
-    assert code == code2 == 0
-    assert sorted(serial.splitlines()) == sorted(parallel.splitlines())
-
-
 def test_reconstruct_roundtrip(capsys):
     code, out, _ = run(capsys, "reconstruct", "--oracle-from", QUARTET)
     assert code == 0
@@ -181,3 +174,13 @@ def test_cord_file_validation(tmp_path, capsys):
     code, _out, err = run(capsys, "rank", "--newick", QUARTET, "--cords", path)
     assert code == 2
     assert "not leaves" in err
+
+
+def test_deeply_nested_newick_is_not_a_crash(tmp_path, capsys):
+    text = "(x0,x1)"
+    for i in range(2, 1201):
+        text = f"({text},x{i})"
+    path = write_cords(tmp_path, "")
+    code, out, err = run(capsys, "rank", "--newick", text + ";", "--cords", path)
+    assert code == 0, err
+    assert out.strip() == "rank: 0"

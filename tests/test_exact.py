@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
-from lassomatroid import LinearSystem, RationalMatrix, ScaleBoundError, feasible, kernel_basis, rank, solve_coordinates
+from lassomatroid import LinearSystem, ScaleBoundError, feasible, kernel_basis, rank, solve_coordinates
 from lassomatroid.exact import RowSpace
 
 entry = st.integers(min_value=-4, max_value=4)
@@ -34,11 +34,13 @@ def test_rank_star_incidence():
 
 
 def test_rank_accepts_fractions_and_matrix_type():
-    m = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]])
-    assert m.rank() == rank(m.rows) == 2
-    assert m.transpose().rank() == 2
-    singular = RationalMatrix([[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]])
-    assert singular.rank() == 1
+    rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(2)]]
+    assert rank(rows) == 2
+    # any sequence of row sequences is a matrix
+    assert rank(tuple(tuple(row) for row in rows)) == 2
+    singular = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(3, 2), Fraction(1)]]
+    assert rank(singular) == 1
+    assert rank(list(zip(*singular))) == 1
 
 
 @given(small_matrices())
@@ -98,6 +100,23 @@ def test_rowspace_pop_restores_state():
     assert space.rank == 1
     assert space.add([0, 1, 1])
     assert not space.add([1, 1, 1])
+
+
+def test_rowspace_tail_rides_along_and_width_is_checked():
+    space = RowSpace(2, tail=1)
+    assert space.add([0, 2, 5])
+    assert space.add([3, 1, 0])
+    assert space.pivots == (1, 0)
+    # pivots come from the main columns only: a row with a zero main part
+    # never enlarges the span, whatever its tail
+    assert not space.add([0, 0, 7])
+    assert space.contains([6, 4, 1])
+    *main, tail = space.reduce([6, 4, 1])
+    assert main == [0, 0] and tail != 0
+    with pytest.raises(ValueError):
+        space.add([1, 0])
+    with pytest.raises(ValueError):
+        space.contains([1, 0, 0, 0])
 
 
 # -- feasibility --------------------------------------------------------------

@@ -127,14 +127,6 @@ def test_bases_scale_guard():
         next(iter(matroid.bases(lm.star_tree(letters(8)))))
 
 
-def test_bases_partition_filter(star4):
-    whole = list(matroid.bases(star4))
-    parts = []
-    for k in range(3):
-        parts += list(matroid.bases(star4, first_index_filter=lambda i, k=k: i % 3 == k))
-    assert sorted(map(sorted, parts)) == sorted(map(sorted, whole))
-
-
 def test_coloops_examples(quartet, star3, star4):
     assert matroid.coloops(quartet) == cords("ab", "cd")
     assert matroid.coloops(star4) == frozenset()

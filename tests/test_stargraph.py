@@ -27,6 +27,15 @@ def test_analyze_empty_and_even_cycle():
     assert comp.bipartite and comp.cycle_count == 1
 
 
+def test_analyze_keeps_bipartite_sides():
+    report = stargraph.analyze("abcdef", cords("ab", "bc", "cd", "ef", "fa", "ce"))
+    (odd,) = report.components
+    assert odd.sides is None
+    report = stargraph.analyze("abcdef", cords("ab", "bc", "cd", "ef"))
+    assert [c.sides for c in report.components] == [
+        (frozenset("ac"), frozenset("bd")), (frozenset("e"), frozenset("f"))]
+
+
 def test_star_is_lasso_examples():
     assert stargraph.star_is_lasso("abcd", cords("ab", "bc", "ca", "da"))
     assert not stargraph.star_is_lasso("abcd", cords("ab", "bc", "cd", "da"))

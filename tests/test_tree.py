@@ -81,6 +81,37 @@ def test_newick_roundtrip_all_small_trees():
             assert lm.are_equivalent(t, again)
 
 
+def deep_caterpillar_newick(depth):
+    """Newick text of a caterpillar whose groups nest ``depth`` levels deep."""
+    text = "(x0,x1)"
+    for i in range(2, depth + 1):
+        text = f"({text},x{i})"
+    return text + ";"
+
+
+def test_newick_roundtrip_deeper_than_the_recursion_limit():
+    tree = lm.tree_from_newick(deep_caterpillar_newick(1200))
+    assert tree.n_leaves == 1201
+    assert tree.is_caterpillar()
+    again = lm.tree_from_newick(tree.to_newick())
+    assert lm.are_equivalent(tree, again)
+    assert again.to_newick() == tree.to_newick()
+
+
+def test_side_splits_the_leaves_at_an_edge(quartet):
+    (central,) = quartet.interior_edge_ids
+    u, v = sorted(quartet.edges[central], key=repr)
+    sides = {quartet.side(central, u), quartet.side(central, v)}
+    assert sides == {frozenset("ab"), frozenset("cd")}
+    a = quartet.leaf_vertex("a")
+    pendant = quartet.pendant_edge("a")
+    assert quartet.side(pendant, a) == frozenset("a")
+    (hub,) = quartet.edges[pendant] - {a}
+    assert quartet.side(pendant, hub) == frozenset("bcd")
+    with pytest.raises(ValueError):
+        quartet.side(pendant, quartet.leaf_vertex("c"))
+
+
 def test_newick_weight_roundtrip(quartet):
     rng = random.Random(7)
     weighting = {eid: Fraction(rng.randint(1, 9), rng.randint(1, 9))
