@@ -7,7 +7,8 @@ blank lines ignored), and all emit either line-oriented text or, with
 cords sort lexicographically and trees print in canonical Newick.
 
 Exit codes: 0 success, 1 negative verdict of a predicate, 2 usage or parse
-error, 3 desk-scale bound exceeded.
+error, 3 desk-scale bound exceeded, 4 internal error (a bug: the traceback
+and an "internal error:" line go to stderr).
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 
 from . import lasso, matroid, reconstruct, stargraph
 from .errors import NewickError, ScaleBoundError
@@ -187,6 +189,10 @@ def _cmd_bases(args):
 
 def _cmd_circuits(args):
     tree, _ = _load_tree(args)
+    bound = _max_leaves(args, 7)
+    if tree.n_leaves > bound:
+        raise ScaleBoundError(
+            f"{tree.n_leaves} leaves exceeds the circuit-enumeration bound of {bound}")
     for c in matroid.circuits(tree, max_size=args.max_size):
         _emit(args, _cordset_text(c), {"circuit": _cordset_json(c)})
     return 0
@@ -366,7 +372,7 @@ def build_parser():
     add("coloops", _cmd_coloops)
     p = add("bases", _cmd_bases, max_leaves=True)
     p.add_argument("--count", action="store_true", help="print only the number of bases")
-    p = add("circuits", _cmd_circuits)
+    p = add("circuits", _cmd_circuits, max_leaves=True)
     p.add_argument("--max-size", type=int, default=None)
     p = add("star", _cmd_star, cords=True)
     p.add_argument("--predicate", choices=["lasso", "independent", "basis", "circuit"],
@@ -412,6 +418,11 @@ def main(argv=None):
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        # exit 1 means a negative verdict, so a bug must not end with it
+        traceback.print_exc(file=sys.stderr)
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -4,15 +4,14 @@ Everything here is exact: scalars are integers or ``fractions.Fraction``.
 Every row elimination (rank, coordinates, kernels, the equality step of
 feasibility) runs through ``RowSpace`` and its fraction-free
 cross-multiplication; the feasibility decider then runs Fourier-Motzkin
-elimination with strict/weak flags carried through each step.  There is no
-floating point anywhere.
+elimination on primitive integer rows, with strict/weak flags carried
+through each step.  There is no floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 from .errors import ScaleBoundError
 
@@ -22,13 +21,15 @@ _GROWTH_LIMIT = 1 << 64
 
 
 def _integerize(row):
-    """Scale a rational row to integers (rank and span are scale-invariant)."""
-    denom = 1
-    for x in row:
-        if isinstance(x, Fraction):
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-    if denom == 1:
-        return [int(x) for x in row]
+    """Scale a rational row by a positive factor to an integer list.
+
+    Rank, span and the solutions and direction of an inequality are all
+    invariant under it.  An integer row is only copied: no Fraction is built.
+    """
+    if all(isinstance(x, int) for x in row):
+        return list(row)
+    row = [Fraction(x) for x in row]
+    denom = lcm(*(x.denominator for x in row))
     return [int(x * denom) for x in row]
 
 
@@ -170,47 +171,61 @@ def kernel_basis(matrix):
     return basis
 
 
-@dataclass(frozen=True)
 class LinearSystem:
     """Conjunction of exact linear constraints over one variable vector.
 
     equalities:          row . x == rhs
     weak_inequalities:   row . x >= rhs
     strict_inequalities: row . x >  rhs
+
+    Each ``(row, rhs)`` pair is stored once, as the integer list
+    ``[*row, rhs]`` scaled by a positive factor, which keeps the solutions
+    and the direction and strictness of every inequality.
     """
 
-    equalities: tuple = field(default=())
-    strict_inequalities: tuple = field(default=())
-    weak_inequalities: tuple = field(default=())
-
     def __init__(self, equalities=(), strict_inequalities=(), weak_inequalities=()):
-        def norm(constraints):
-            return tuple((tuple(Fraction(c) for c in row), Fraction(rhs)) for row, rhs in constraints)
-
-        object.__setattr__(self, "equalities", norm(equalities))
-        object.__setattr__(self, "strict_inequalities", norm(strict_inequalities))
-        object.__setattr__(self, "weak_inequalities", norm(weak_inequalities))
-        widths = {len(row) for row, _ in self.equalities + self.strict_inequalities + self.weak_inequalities}
+        self.equalities = [_integerize([*row, rhs]) for row, rhs in equalities]
+        self.strict_inequalities = [_integerize([*row, rhs]) for row, rhs in strict_inequalities]
+        self.weak_inequalities = [_integerize([*row, rhs]) for row, rhs in weak_inequalities]
+        widths = {len(row) for row in
+                  self.equalities + self.strict_inequalities + self.weak_inequalities}
         if len(widths) > 1:
             raise ValueError("constraints disagree on variable count")
-
-    @property
-    def nvars(self):
-        for row, _ in self.equalities + self.strict_inequalities + self.weak_inequalities:
-            return len(row)
-        return 0
+        self.nvars = widths.pop() - 1 if widths else 0
 
 
-def _normalize_ineq(row, rhs, strict):
-    """Scale so the first nonzero coefficient is +-1; canonical for dedup."""
-    lead = next((c for c in row if c), None)
-    if lead is None:
-        return row, rhs, strict
-    scale = abs(lead)
-    if scale != 1:
-        row = tuple(c / scale for c in row)
-        rhs = rhs / scale
-    return row, rhs, strict
+# One Fourier-Motzkin step may build at most this many candidate
+# inequalities.  The agreement systems of the topological decider need a few
+# dozen; a general system can grow doubly exponentially, and one step at the
+# limit takes well under a second.
+_FM_ROW_LIMIT = 100_000
+
+
+def _primitive(row):
+    """Divide an integer row by the gcd of its entries (a positive factor)."""
+    g = gcd(*row)
+    return [x // g for x in row] if g > 1 else row
+
+
+def _settle(ineqs, nvars):
+    """Merge positive multiples and drop constant inequalities.
+
+    ``ineqs`` holds ``(row, strict)`` pairs of primitive rows, so positive
+    multiples of one inequality have equal rows: after sorting, the last
+    copy of a row is strict when any copy is.  Returns the remaining
+    pairs, or None when a constant inequality is false.
+    """
+    ineqs.sort()
+    kept = []
+    for row, strict in ineqs:
+        if not any(row[:nvars]):
+            if row[-1] > 0 or (strict and row[-1] == 0):
+                return None
+        elif kept and kept[-1][0] == row:
+            kept[-1] = (row, strict)
+        else:
+            kept.append((row, strict))
+    return kept
 
 
 def feasible(system, max_variables=24):
@@ -219,7 +234,10 @@ def feasible(system, max_variables=24):
     Equalities are eliminated first by substitution; the remaining variables
     are eliminated in ascending index order by Fourier-Motzkin, combining a
     lower and an upper bound into a strict inequality whenever either side
-    is strict.
+    is strict.  All arithmetic is on integers, and every inequality is kept
+    primitive (its entries share no factor), which keeps them small.
+    Raises ScaleBoundError when a step would build more than
+    ``_FM_ROW_LIMIT`` inequalities.
     """
     nvars = system.nvars
     if nvars > max_variables:
@@ -230,8 +248,8 @@ def feasible(system, max_variables=24):
     # so reducing an inequality [row | rhs] against the echelon scales it by
     # a positive factor and never flips its direction.
     eqs = RowSpace(nvars, tail=1)
-    for row, rhs in system.equalities:
-        res = eqs.reduce(_integerize(row + (rhs,)))
+    for row in system.equalities:
+        res = eqs.reduce(row)
         lead = next((x for x in res[:nvars] if x), None)
         if lead is None:
             if res[-1]:
@@ -240,51 +258,37 @@ def feasible(system, max_variables=24):
         eqs.add([-x for x in res] if lead < 0 else res)
 
     # Substitute the pivot variables out of the inequalities.
-    ineqs = []
-    for constraints, strict in ((system.strict_inequalities, True),
-                                (system.weak_inequalities, False)):
-        for row, rhs in constraints:
-            res = eqs.reduce(list(row) + [rhs])
-            ineqs.append((res[:nvars], res[-1], strict))
+    ineqs = [(_primitive(eqs.reduce(row)), True) for row in system.strict_inequalities]
+    ineqs += [(_primitive(eqs.reduce(row)), False) for row in system.weak_inequalities]
+    ineqs = _settle(ineqs, nvars)
     pivot_cols = set(eqs.pivots)
 
     # Fourier-Motzkin on the remaining variables.
-    remaining = [v for v in range(nvars) if v not in pivot_cols]
-    for var in remaining:
-        lowers, uppers, others = [], [], []
-        for row, rhs, strict in ineqs:
-            c = row[var]
-            if c > 0:
-                lowers.append((row, rhs, strict, c))   # x_var >= (rhs - rest)/c
-            elif c < 0:
-                uppers.append((row, rhs, strict, c))
-            else:
-                others.append((row, rhs, strict))
-        new_ineqs = {}
-        for row, rhs, strict in others:
-            key = _normalize_ineq(tuple(row), rhs, strict)
-            prev = new_ineqs.get(key[:2])
-            new_ineqs[key[:2]] = (key[2] or prev) if prev is not None else key[2]
-        for lrow, lrhs, lstrict, lc in lowers:
-            for urow, urhs, ustrict, uc in uppers:
-                # lc > 0 >= uc: combine to eliminate var exactly
-                row = [lc * u - uc * l for l, u in zip(lrow, urow)]
-                rhs = lc * urhs - uc * lrhs
-                row[var] = Fraction(0)
-                strict = lstrict or ustrict
-                key = _normalize_ineq(tuple(row), rhs, strict)
-                prev = new_ineqs.get(key[:2])
-                new_ineqs[key[:2]] = (key[2] or prev) if prev is not None else key[2]
-        ineqs = []
-        for (row, rhs), strict in new_ineqs.items():
-            if any(row):
-                ineqs.append((list(row), rhs, strict))
-            else:
-                if rhs > 0 or (strict and rhs == 0):
-                    return False
-    for row, rhs, strict in ineqs:
-        if any(row):
-            continue
-        if rhs > 0 or (strict and rhs == 0):
+    for var in range(nvars):
+        if ineqs is None:
             return False
-    return True
+        if var in pivot_cols:
+            continue
+        lowers, uppers, others = [], [], []
+        for ineq in ineqs:
+            c = ineq[0][var]
+            if c > 0:
+                lowers.append(ineq)   # x_var >= (rhs - rest) / c
+            elif c < 0:
+                uppers.append(ineq)
+            else:
+                others.append(ineq)
+        candidates = len(lowers) * len(uppers) + len(others)
+        if candidates > _FM_ROW_LIMIT:
+            raise ScaleBoundError(
+                f"eliminating variable {var} builds {candidates} inequalities, "
+                f"above the Fourier-Motzkin limit of {_FM_ROW_LIMIT}")
+        for lrow, lstrict in lowers:
+            lc = lrow[var]
+            for urow, ustrict in uppers:
+                # lc > 0 > uc: a positive combination with var's entry 0
+                uc = urow[var]
+                others.append((_primitive([lc * u - uc * l for l, u in zip(lrow, urow)]),
+                               lstrict or ustrict))
+        ineqs = _settle(others, nvars)
+    return ineqs is not None

@@ -131,13 +131,10 @@ def pointed_covers(tree, leaf):
 def _agreement_system(shape, tree, cords, pendant_strict):
     """Feasibility system: admissible weightings of both trees agree on the cords."""
     m1, m2 = len(shape.edge_ids), len(tree.edge_ids)
-    zeros1, zeros2 = (0,) * m1, (0,) * m2
-    equalities = []
-    for c in sorted(cords):
-        row = shape.path_vector(c) + tuple(-x for x in tree.path_vector(c))
-        equalities.append((row, 0))
+    equalities = [([*shape.path_vector(c), *(-x for x in tree.path_vector(c))], 0)
+                  for c in sorted(cords)]
     strict, weak = [], []
-    for t, offset, width in ((shape, 0, m1), (tree, m1, m2)):
+    for t, offset in ((shape, 0), (tree, m1)):
         for eid in t.edge_ids:
             row = [0] * (m1 + m2)
             row[offset + t.edge_column[eid]] = 1

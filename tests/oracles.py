@@ -184,17 +184,22 @@ def _solve_square(rows, rhs):
 def vertex_feasible(equalities, strict, weak, box=1000):
     """Complete feasibility decision by vertex enumeration of a lifted polytope.
 
-    Adds a slack variable bounding how far every strict constraint is from
-    equality, boxes all variables, and maximizes the slack over the polytope
-    vertices; the original system is feasible exactly when the maximum is
-    positive.  Only suitable for small systems whose solutions, when any
-    exist, fit inside the box.
+    Solves the equalities by Gauss-Jordan elimination and substitutes each
+    pivot variable out, leaving inequalities over the free variables.  Then
+    adds a slack variable bounding how far every strict constraint is from
+    equality, boxes the free variables, and maximizes the slack over the
+    polytope vertices; the original system is feasible exactly when the
+    maximum is positive.  Only suitable for small systems whose solutions,
+    when any exist, have free coordinates inside the box.  With ``box=None``
+    no box is added, and the constraints themselves must bound the free
+    variables (as ``x >= 0`` with ``sum(x) == 1`` does).
     """
     dims = {len(r) for r, _ in itertools.chain(equalities, strict, weak)}
     if not dims:
         return True
     (d,) = dims
-    # row-reduce the equalities: drop dependent rows, catch contradictions
+    # reduced row echelon form of the equalities: drop dependent rows, catch
+    # contradictions; each kept row reads x_pivot + row . x_free == rhs
     reduced = []
     for row, rhs in equalities:
         row = [Fraction(c) for c in row]
@@ -210,46 +215,48 @@ def vertex_feasible(equalities, strict, weak, box=1000):
                 return False
             continue
         pv = row[pivot]
-        reduced.append(([x / pv for x in row], rhs / pv, pivot))
-    equalities = [(row, rhs) for row, rhs, _ in reduced]
-    # constraints as rows over (x, eps): row . z >= rhs , plus equalities
-    ge_rows = []
-    for row, rhs in weak:
-        ge_rows.append(([Fraction(c) for c in row] + [Fraction(0)], Fraction(rhs)))
-    for row, rhs in strict:
-        ge_rows.append(([Fraction(c) for c in row] + [Fraction(-1)], Fraction(rhs)))
-    for i in range(d):
-        unit = [Fraction(0)] * (d + 1)
-        unit[i] = Fraction(1)
-        ge_rows.append((unit[:], Fraction(-box)))
-        neg = [Fraction(0)] * (d + 1)
-        neg[i] = Fraction(-1)
-        ge_rows.append((neg, Fraction(-box)))
-    eps_low = [Fraction(0)] * (d + 1)
-    eps_low[d] = Fraction(1)
-    ge_rows.append((eps_low[:], Fraction(0)))
-    eps_high = [Fraction(0)] * (d + 1)
-    eps_high[d] = Fraction(-1)
-    ge_rows.append((eps_high, Fraction(-1)))
-    eq_rows = [([Fraction(c) for c in row] + [Fraction(0)], Fraction(rhs))
-               for row, rhs in equalities]
+        row, rhs = [x / pv for x in row], rhs / pv
+        for j, (prow, prhs, ppivot) in enumerate(reduced):
+            c = prow[pivot]
+            if c:
+                reduced[j] = ([x - c * y for x, y in zip(prow, row)], prhs - c * rhs, ppivot)
+        reduced.append((row, rhs, pivot))
+    pivots = {pivot for _, _, pivot in reduced}
+    free = [i for i in range(d) if i not in pivots]
+    k = len(free)
 
-    if len(eq_rows) > d + 1:
-        raise ValueError("oracle expects at most one equality per dimension plus slack")
-    need = d + 1 - len(eq_rows)
-    best = None
-    for active in itertools.combinations(range(len(ge_rows)), need):
-        rows = [r for r, _ in eq_rows] + [ge_rows[i][0] for i in active]
-        rhs = [b for _, b in eq_rows] + [ge_rows[i][1] for i in active]
-        point = _solve_square(rows, rhs)
-        if point is None:
+    def over_free(row, rhs, slack):
+        """row . x >= rhs as a row over (x_free, eps), pivots substituted out."""
+        row = [Fraction(c) for c in row]
+        rhs = Fraction(rhs)
+        for prow, prhs, pivot in reduced:
+            c = row[pivot]
+            if c:
+                row = [x - c * y for x, y in zip(row, prow)]
+                rhs = rhs - c * prhs
+        return [row[i] for i in free] + [Fraction(slack)], rhs
+
+    # constraints as rows over (x_free, eps): row . z >= rhs
+    ge_rows = [over_free(row, rhs, 0) for row, rhs in weak]
+    ge_rows += [over_free(row, rhs, -1) for row, rhs in strict]
+    for i in range(k + 1):
+        unit = [Fraction(0)] * (k + 1)
+        unit[i] = Fraction(1)
+        neg = [-x for x in unit]
+        if i == k:
+            ge_rows.append((neg, Fraction(-1)))   # eps <= 1
+        elif box is not None:
+            ge_rows += [(unit, Fraction(-box)), (neg, Fraction(-box))]
+
+    # The maximum is positive exactly when some vertex has eps > 0, and
+    # eps >= 0 is not active at such a vertex, so it is left out of the rows.
+    for active in itertools.combinations(ge_rows, k + 1):
+        point = _solve_square([r for r, _ in active], [b for _, b in active])
+        if point is None or point[k] <= 0:
             continue
         if all(sum(c * z for c, z in zip(row, point)) >= b for row, b in ge_rows):
-            if all(sum(c * z for c, z in zip(row, point)) == b for row, b in eq_rows):
-                eps = point[d]
-                if best is None or eps > best:
-                    best = eps
-    return best is not None and best > 0
+            return True
+    return False
 
 
 # -- distances on raw trees ---------------------------------------------------------

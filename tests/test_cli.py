@@ -107,6 +107,27 @@ def test_scale_bound_exit_3(capsys):
     assert "bound" in err
 
 
+def test_circuits_scale_bound_exit_3(capsys):
+    code, _out, err = run(capsys, "circuits", "--newick", "(a,b,c,d,e,f,g,h);")
+    assert code == 3
+    assert "circuit-enumeration bound of 7" in err
+    code, _out, err = run(capsys, "circuits", "--newick", QUARTET, "--max-leaves", "3")
+    assert code == 3
+    code, out, _err = run(capsys, "circuits", "--newick", QUARTET, "--max-leaves", "4")
+    assert code == 0 and out.strip()
+
+
+def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
+    def broken(args):
+        raise AssertionError("cross-check failed")
+
+    monkeypatch.setattr(cli, "_cmd_rank", broken)
+    path = write_cords(tmp_path, "a b\n")
+    code, _out, err = run(capsys, "rank", "--newick", QUARTET, "--cords", path)
+    assert code == 4
+    assert "internal error: AssertionError: cross-check failed" in err
+
+
 def test_max_leaves_env_and_flag(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_MAX_LEAVES, "8")
     code, out, _ = run(capsys, "bases", "--newick", "(a,b,c,d,e,f,g,h);", "--count")

@@ -189,3 +189,93 @@ def test_feasible_unit_quartet_distances_reject_crossed_tree():
                           weak_inequalities=weak)
     assert not feasible(system)
     assert not oracles.vertex_feasible(equalities, strict, weak)
+
+
+def _pairs(rows):
+    """A LinearSystem's stored [*row, rhs] lists as (row, rhs) pairs."""
+    return [(row[:-1], row[-1]) for row in rows]
+
+
+def test_feasible_agrees_with_vertex_oracle_on_four_leaf_agreement_systems():
+    # Every ordered pair of distinct 4-leaf shapes, both pendant rules, and
+    # two cord sets: all six cords (never feasible) and the two-sided set of
+    # ac|bd (feasible for some pairs and not for others).  An agreement system
+    # is a cone in which every variable is sign-constrained and at least one
+    # is strict (one of the two shapes is binary), so it is feasible exactly
+    # when it is with sum(w) == 1, which bounds it: the oracle needs no box.
+    import lassomatroid as lm
+    from lassomatroid import lasso
+
+    shapes = list(lm.enumerate_xtrees("abcd"))
+    cord_sets = [lm.all_cords("abcd"), lm.cross_cords("ac", "bd")]
+    verdicts = set()
+    for shape in shapes:
+        for tree in shapes:
+            if shape.canonical_form() == tree.canonical_form():
+                continue
+            for cords in cord_sets:
+                for pendant_strict in (False, True):
+                    system = lasso._agreement_system(shape, tree, cords, pendant_strict)
+                    got = feasible(system)
+                    normalise = ([1] * system.nvars, 1)
+                    want = oracles.vertex_feasible(
+                        _pairs(system.equalities) + [normalise],
+                        _pairs(system.strict_inequalities),
+                        _pairs(system.weak_inequalities), box=None)
+                    assert got == want, (shape.to_newick(), tree.to_newick(), cords, pendant_strict)
+                    verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+def test_feasible_verdict_is_invariant_under_positive_scaling():
+    rng = random.Random(20240607)
+    values = [Fraction(n, d) for n in range(-3, 4) for d in (1, 2, 3)]
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+
+        def constraints(count):
+            return [([rng.choice(values) for _ in range(nvars)], rng.choice(values))
+                    for _ in range(count)]
+
+        def scaled(pairs):
+            factors = [Fraction(rng.randint(1, 9), rng.randint(1, 9)) for _ in pairs]
+            return [([c * f for c in row], rhs * f) for (row, rhs), f in zip(pairs, factors)]
+
+        eqs = constraints(rng.randint(0, 2))
+        strict = constraints(rng.randint(0, 3))
+        weak = constraints(rng.randint(0, 3))
+        want = feasible(LinearSystem(eqs, strict, weak))
+        got = feasible(LinearSystem(scaled(eqs), scaled(strict), scaled(weak)))
+        assert got == want, (eqs, strict, weak)
+
+
+def test_integer_feasibility_builds_no_fraction(monkeypatch):
+    import lassomatroid as lm
+    from lassomatroid import exact, lasso
+
+    def no_fraction(*args):
+        raise AssertionError("a Fraction was built on the integer path")
+
+    monkeypatch.setattr(exact, "Fraction", no_fraction)
+    monkeypatch.setattr(lasso, "_topological_memo", {})
+    system = LinearSystem(equalities=[([1, -1, 0], 0)],
+                          strict_inequalities=[([1, 0, 0], 0), ([0, 1, -1], 2)],
+                          weak_inequalities=[([0, 0, 1], -5)])
+    assert feasible(system)
+    # a two-sided set splitting both cherries of a 5-leaf caterpillar is a
+    # topological lasso, so every competing shape gets a feasibility call
+    tree = lm.tree_from_newick("((a,b),c,(d,e));")
+    assert lasso.is_topological_lasso(tree, lm.cross_cords("ad", "bce"))
+
+
+def test_feasible_refuses_a_fourier_motzkin_blowup():
+    # Without a bound, eliminating these five variables builds inequalities
+    # without end; the step that would build over the limit is refused.
+    h = Fraction(1, 2)
+    t = Fraction(2, 3)
+    strict = [([-3, 1, h, 1, 0], 0), ([h, -t, 0, -t, 0], 0), ([-3, -3, -1, 1, 2], 0),
+              ([-t, -1, -1, -t, 0], 0), ([0, 1, -1, 0, 0], Fraction(3, 2))]
+    weak = [([0, 1, 2, h, 0], -1), ([-1, 2, 0, -t, 0], -1), ([-3, h, 0, 1, 2], Fraction(3, 2)),
+            ([h, 1, -t, 1, -t], -1), ([2, 2, h, -1, -1], 1)]
+    with pytest.raises(ScaleBoundError, match="inequalities, above the Fourier-Motzkin limit of"):
+        feasible(LinearSystem(strict_inequalities=strict, weak_inequalities=weak))
