@@ -29,7 +29,9 @@ _topological_memo = {}
 def _shapes_on(labels):
     key = tuple(sorted(labels))
     if key not in _enumeration_cache:
-        _enumeration_cache[key] = tuple(enumerate_xtrees(key))
+        # most resolved competitors first: an agreeing shape is found after fewer feasible() calls
+        shapes = sorted(enumerate_xtrees(key), key=lambda t: -len(t.edge_ids))
+        _enumeration_cache[key] = tuple(shapes)
     return _enumeration_cache[key]
 
 

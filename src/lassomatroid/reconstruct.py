@@ -6,7 +6,7 @@ pairs of the displayed quartet is dependent, the other two are independent,
 and all three are dependent exactly when the four leaves attach at a single
 vertex.  Reading that signature off the rank oracle yields the set of
 displayed quartets, which pins the tree down up to equivalence; the tree is
-then found by exhaustive enumeration.
+then grown leaf by leaf, each placed where the quartets say.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import matroid
 from .errors import ScaleBoundError
-from .tree import all_cords, cord, enumerate_xtrees, quartet_topology
+from .tree import all_cords, cord, hang_leaf, quartet_topology, star_tree
 
 
 def _cycle_with_diagonals(pair1, pair2):
@@ -83,18 +83,23 @@ def quartet_set_from_oracle(rank_oracle, labels):
 def tree_from_oracle(rank_oracle, labels, max_leaves=8):
     """The unique tree whose displayed quartets match the oracle's.
 
-    Errors out when no enumerated tree matches or several do; either case
-    means the oracle is not the rank function of a tree's cord matroid.
+    Grows from the star on the first three labels, hanging each next leaf
+    where the tree displays exactly the oracle's quartets on the leaves so
+    far.  Quartets determine a tree, so one place fits or none (not a tree).
     """
     labels = sorted(labels)
-    want = quartet_set_from_oracle(rank_oracle, labels)
-    matches = [t for t in enumerate_xtrees(labels, max_leaves=max_leaves)
-               if quartet_set_of_tree(t).resolved == want.resolved]
-    if not matches:
-        raise ValueError("no tree displays the oracle's quartets")
-    if len(matches) > 1:
-        raise ValueError("several trees display the oracle's quartets")
-    return matches[0]
+    if len(labels) > max_leaves:
+        raise ScaleBoundError(
+            f"{len(labels)} leaves exceeds the recovery bound of {max_leaves}")
+    want = quartet_set_from_oracle(rank_oracle, labels).resolved
+    tree = star_tree(labels[:3])
+    for label in labels[3:]:
+        target = frozenset(q for q in want if max(q[0] + q[1]) <= label)
+        tree = next((t for t in hang_leaf(tree, label)
+                     if quartet_set_of_tree(t).resolved == target), None)
+        if tree is None:
+            raise ValueError("no tree displays the oracle's quartets")
+    return tree
 
 
 def matroids_equal(tree1, tree2, max_leaves=6):

@@ -656,58 +656,51 @@ def caterpillar_tree(labels):
     return XTree(edges, {x: i for i, x in enumerate(labels)})
 
 
-# -- exhaustive enumeration ----------------------------------------------------
+# -- growth by leaf insertion ------------------------------------------------
+
+
+def hang_leaf(tree, label, binary=False):
+    """Every tree made by hanging a new leaf on a vertex subdividing each edge
+    in turn, then (unless ``binary``) on each interior vertex.  Removing that
+    leaf, and a vertex left with degree 2, gives back ``tree``, so growth from
+    a 3-leaf star reaches every shape once.  Edge ids are list positions.
+    """
+    if label in tree._leaf_vertex:
+        raise ValueError(f"leaf label {label!r} is already in the tree")
+    edge_list = [tuple(tree._edges[eid]) for eid in tree.edge_ids]
+    leaves = dict(tree._leaf_vertex)
+    mid = max(tree.vertices) + 1
+    for i, (u, v) in enumerate(edge_list):
+        grown = edge_list[:i] + edge_list[i + 1:] + [(u, mid), (mid, v), (mid, mid + 1)]
+        yield XTree(dict(enumerate(grown)), {**leaves, label: mid + 1})
+    if not binary:
+        for v in sorted(tree.interior_vertices):
+            yield XTree(dict(enumerate(edge_list + [(v, mid)])), {**leaves, label: mid})
+
+
+def _grow(tree, labels, binary):
+    """Depth-first: every tree grown from ``tree`` by hanging ``labels`` in order."""
+    if not labels:
+        yield tree
+        return
+    for bigger in hang_leaf(tree, labels[0], binary):
+        yield from _grow(bigger, labels[1:], binary)
 
 
 def enumerate_binary_xtrees(labels):
-    """All binary trees on the labels, one per equivalence class.
-
-    Generated by inserting each successive leaf on every edge of every
-    smaller tree; each binary shape arises exactly once this way.
-    """
+    """All binary trees on the labels, one per equivalence class."""
     labels = sorted(labels)
-    if len(labels) < 3:
-        raise ValueError("need at least 3 labels")
-    # raw shape: (edge list as vertex pairs, leaf label -> vertex)
-    shapes = [([(0, 3), (1, 3), (2, 3)], {x: i for i, x in enumerate(labels[:3])})]
-    for new_label in labels[3:]:
-        grown = []
-        for edge_list, leaf_map in shapes:
-            nverts = 2 * len(leaf_map) - 2
-            mid, tip = nverts, nverts + 1
-            for i, (u, v) in enumerate(edge_list):
-                new_list = edge_list[:i] + edge_list[i + 1:]
-                new_list += [(u, mid), (mid, v), (mid, tip)]
-                new_map = dict(leaf_map)
-                new_map[new_label] = tip
-                grown.append((new_list, new_map))
-        shapes = grown
-    return [XTree({i: frozenset(p) for i, p in enumerate(edge_list)}, leaf_map)
-            for edge_list, leaf_map in shapes]
+    return list(_grow(star_tree(labels[:3]), labels[3:], binary=True))
 
 
 def enumerate_xtrees(labels, max_leaves=8):
     """One representative per equivalence class of trees on the labels.
 
-    Yields every shape, multifurcating ones included, obtained by collapsing
-    interior edge subsets of the binary shapes and deduplicating by canonical
-    form.  Refuses leaf sets above ``max_leaves``.
+    Yields every shape, multifurcating ones included, grown by leaf insertion.
+    Refuses leaf sets above ``max_leaves``.
     """
     labels = sorted(labels)
     if len(labels) > max_leaves:
         raise ScaleBoundError(
             f"{len(labels)} leaves exceeds the enumeration bound of {max_leaves}")
-    binaries = enumerate_binary_xtrees(labels)
-    seen = set()
-    for t in binaries:
-        seen.add(t.canonical_form())
-        yield t
-    for t in binaries:
-        interior = t.interior_edge_ids
-        for size in range(1, len(interior) + 1):
-            for F in itertools.combinations(interior, size):
-                collapsed = t.contract(F)
-                key = collapsed.canonical_form()
-                if key not in seen:
-                    seen.add(key)
-                    yield collapsed
+    yield from _grow(star_tree(labels[:3]), labels[3:], binary=False)

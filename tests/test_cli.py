@@ -1,6 +1,7 @@
 import json
 
 from lassomatroid import cli
+from lassomatroid.tree import tree_from_newick
 
 QUARTET = "((a,b),(c,d));"
 STAR4 = "(a,b,c,d);"
@@ -129,13 +130,16 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_max_leaves_env_and_flag(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_MAX_LEAVES, "8")
-    code, out, _ = run(capsys, "bases", "--newick", "(a,b,c,d,e,f,g,h);", "--count")
+    nine = "((a,b),(c,d),((e,f),g),(h,i));"
+    code, _out, err = run(capsys, "reconstruct", "--newick", nine)
+    assert code == 3
+    assert "bound of 8" in err
+    monkeypatch.setenv(cli.ENV_MAX_LEAVES, "9")
+    code, out, _ = run(capsys, "reconstruct", "--newick", nine)
     assert code == 0
-    assert out.strip()
+    assert out.strip() == tree_from_newick(nine).to_newick()
     # explicit flag wins over the environment
-    code, _out, err = run(capsys, "bases", "--newick", "(a,b,c,d,e,f,g,h);",
-                          "--max-leaves", "7")
+    code, _out, err = run(capsys, "reconstruct", "--newick", nine, "--max-leaves", "8")
     assert code == 3
 
 

@@ -56,6 +56,29 @@ def test_tree_from_oracle_roundtrips_exhaustive_small():
             assert lm.are_equivalent(t, again)
 
 
+def test_tree_from_oracle_roundtrips_beyond_six_leaves():
+    skewed = lm.tree_from_newick("((a,b,c),d,((e,f),g));")
+    assert sorted(skewed.degree(v) for v in skewed.interior_vertices) == [3, 3, 3, 4]
+    for t in (lm.caterpillar_tree("abcdefgh"), lm.star_tree("abcdefgh"), skewed):
+        again = reconstruct.tree_from_oracle(matroid.rank_oracle(t), t.leaves)
+        assert lm.are_equivalent(t, again)
+
+
+def test_tree_from_oracle_rejects_quartets_no_tree_displays():
+    # every 4-leaf signature is tree-like, but {a,b,c,d} reads ac|bd while the
+    # rest of the oracle reads ((a,b),c,(d,e))
+    inner = matroid.rank_oracle(lm.tree_from_newick("((a,c),b,(d,e));"))
+    outer = matroid.rank_oracle(lm.tree_from_newick("((a,b),c,(d,e));"))
+
+    def mixed(cord_set):
+        leaves = {x for c in cord_set for x in c}
+        return (inner if leaves == set("abcd") else outer)(cord_set)
+
+    assert len(reconstruct.quartet_set_from_oracle(mixed, "abcde").resolved) == 5
+    with pytest.raises(ValueError, match="no tree displays"):
+        reconstruct.tree_from_oracle(mixed, "abcde")
+
+
 def test_matroids_equal_examples(quartet, star4):
     assert reconstruct.matroids_equal(quartet, quartet)
     other = lm.quartet_tree("a", "c", "b", "d")

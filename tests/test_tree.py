@@ -7,6 +7,7 @@ import pytest
 import oracles
 import lassomatroid as lm
 from helpers import letters, trees_on, binary_trees_on
+from lassomatroid.tree import hang_leaf
 
 
 # -- parsing -------------------------------------------------------------------
@@ -294,8 +295,10 @@ def test_equivalence_requires_same_leaves(quartet, star3):
 
 
 def test_enumeration_counts_match_partition_recurrence():
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5, 6, 7):
         assert len(trees_on(n)) == oracles.unrooted_xtree_count(n)
+    assert len(trees_on(7)) == 2752
+    assert len(binary_trees_on(7)) == 945
 
 
 def test_enumeration_counts_match_prufer_brute_force():
@@ -304,9 +307,26 @@ def test_enumeration_counts_match_prufer_brute_force():
 
 
 def test_enumeration_is_duplicate_free():
-    for n in (3, 4, 5, 6):
+    for n in (3, 4, 5, 6, 7):
         keys = [t.canonical_form() for t in trees_on(n)]
         assert len(keys) == len(set(keys))
+        binary_keys = [t.canonical_form() for t in binary_trees_on(n)]
+        assert len(binary_keys) == len(set(binary_keys))
+        assert all(t.is_binary() for t in binary_trees_on(n))
+
+
+def test_hang_leaf_places_the_leaf_once_per_edge_and_interior_vertex():
+    for t in trees_on(5):
+        grown = list(hang_leaf(t, "f"))
+        binary = list(hang_leaf(t, "f", binary=True))
+        assert len(grown) == len(t.edge_ids) + len(t.interior_vertices)
+        assert [g.canonical_form() for g in binary] == [g.canonical_form()
+                                                        for g in grown[:len(binary)]]
+        assert len({g.canonical_form() for g in grown}) == len(grown)
+        for g in grown:
+            assert lm.are_equivalent(g.restrict(t.leaves)[0], t)
+    with pytest.raises(ValueError):
+        list(hang_leaf(trees_on(4)[0], "a"))
 
 
 def test_enumeration_includes_binary_and_star():
