@@ -10,7 +10,6 @@ the bases are the tight edge-weight lassos.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .errors import ScaleBoundError
@@ -70,65 +69,76 @@ def closure(tree, cords):
 def circuits(tree, max_size=None):
     """All minimal dependent cord sets of size up to ``max_size``.
 
-    Size-ordered subset search; supersets of found circuits are pruned, so a
-    surviving dependent set is automatically minimal.  Minimality is still
-    re-verified directly (rank one less than size, every single deletion
-    independent) before a set is emitted.
+    Depth-first walk over the independent sets of the sorted cords in index
+    order.  A row enters with a unit tail at its depth, so a later cord's
+    residual carries its coordinates over the chosen set: it closes a
+    circuit when its main residual vanishes and every coordinate is nonzero.
+    Each circuit arises once; all are yielded by size, then sorted cords.
     """
-    limit = len(tree.edge_ids) + 1
+    ncols = len(tree.edge_ids)
     if max_size is None:
-        max_size = limit
-    if max_size > limit:
-        raise ValueError(f"circuits never exceed {limit} cords on this tree")
+        max_size = ncols + 1
+    if max_size > ncols + 1:
+        raise ValueError(f"circuits never exceed {ncols + 1} cords on this tree")
+    if max_size < 1:
+        return
     cords = sorted(all_cords(tree.leaves))
+    rows = [[(*tree.path_vector(c), *[0] * depth, 1, *[0] * (max_size - depth - 1))
+             for c in cords] for depth in range(max_size)]
+    space = RowSpace(ncols, tail=max_size)
     found = []
-    for size in range(1, max_size + 1):
-        for combo in itertools.combinations(cords, size):
-            cset = frozenset(combo)
-            if any(c <= cset for c in found):
-                continue
-            r = rank_of(tree, combo)
-            if r == size:
-                continue
-            if r != size - 1:
-                raise AssertionError("unpruned dependent set is not minimal")
-            for drop in combo:
-                kept = cset - {drop}
-                if rank_of(tree, kept) != size - 1:
-                    raise AssertionError("circuit candidate has a dependent deletion")
-            found.append(cset)
-            yield cset
+
+    def walk(start, chosen):
+        depth = len(chosen)
+        for j in range(start, len(cords)):
+            residual = space.reduce(rows[depth][j])
+            if any(residual[:ncols]):
+                if depth + 1 < max_size:
+                    space.add(residual)
+                    walk(j + 1, (*chosen, j))
+                    space.pop()
+            elif all(residual[ncols:ncols + depth]):
+                found.append((depth + 1, (*chosen, j)))
+
+    walk(0, ())
+    for _, circuit in sorted(found):
+        yield frozenset(cords[i] for i in circuit)
 
 
-def bases(tree, max_leaves=7):
-    """All maximal independent cord sets, i.e. the tight edge-weight lassos.
+def _basis_dfs(rows, tail=0):
+    """Depth-first search for the bases among ``rows``, which must span.
 
-    Depth-first search over independent sets with incremental elimination;
-    every emitted set has exactly one cord per edge of the tree.
+    A row holds main entries, then ``tail`` carried ones.  At each basis the
+    search yields its chosen indices (a list, increasing) and its live
+    ``RowSpace``, both valid only until the generator is resumed.
     """
-    if tree.n_leaves > max_leaves:
-        raise ScaleBoundError(
-            f"{tree.n_leaves} leaves exceeds the basis-enumeration bound of {max_leaves}")
-    cords = sorted(all_cords(tree.leaves))
-    vectors = [tree.path_vector(c) for c in cords]
-    target = len(tree.edge_ids)
-    space = RowSpace(target)
+    ncols = len(rows[0]) - tail
+    space = RowSpace(ncols, tail=tail)
     chosen = []
 
     def extend(start):
-        if len(chosen) == target:
-            yield frozenset(chosen)
+        if len(chosen) == ncols:
+            yield chosen, space
             return
-        # not enough cords left to reach a full basis
-        last = len(cords) - (target - len(chosen))
-        for i in range(start, last + 1):
-            if space.add(vectors[i]):
-                chosen.append(cords[i])
+        for i in range(start, len(rows) - (ncols - len(chosen)) + 1):  # a basis still fits
+            if space.add(rows[i]):
+                chosen.append(i)
                 yield from extend(i + 1)
                 chosen.pop()
                 space.pop()
 
     yield from extend(0)
+
+
+def bases(tree, max_leaves=7):
+    """All maximal independent cord sets, i.e. the tight edge-weight lassos,
+    found by ``_basis_dfs``; each has exactly one cord per edge of the tree."""
+    if tree.n_leaves > max_leaves:
+        raise ScaleBoundError(
+            f"{tree.n_leaves} leaves exceeds the basis-enumeration bound of {max_leaves}")
+    cords = sorted(all_cords(tree.leaves))
+    for chosen, _ in _basis_dfs([tree.path_vector(c) for c in cords]):
+        yield frozenset([cords[i] for i in chosen])
 
 
 def coloops(tree):
@@ -138,65 +148,53 @@ def coloops(tree):
     return frozenset(c for c in cords if rank_of(tree, cords - {c}) < full)
 
 
-def _collapse_residuals(rows, base, cords):
-    """Each cord with the f-part of its residual over a collapsed-tree basis.
-
-    ``rows`` maps a cord to its collapsed-tree path vector with its full-tree
-    incidence of the collapsed edge f appended as a one-wide tail.  The
-    basis rows carry their f-incidences through the elimination, so a cord's
-    tail residual is (up to a nonzero factor) its own f-incidence minus the
-    coordinate-weighted f-incidence of the basis cords.
-    """
-    space = RowSpace(len(rows[cords[0]]) - 1, tail=1)
-    for b in sorted(base):
-        if not space.add(rows[b]):
-            raise ValueError("cord set is not independent in the collapsed tree")
-    reduce = space.reduce
-    for c in cords:
-        *main, weight = reduce(rows[c])
-        if any(main):
-            raise ValueError("cord set does not span the collapsed tree")
-        yield c, weight
-
-
 def _collapse_rows(tree, f, cords):
+    """Each cord's collapsed-tree path vector, with its full-tree incidence
+    of the collapsed edge ``f`` appended as a one-wide tail."""
     collapsed = tree.contract({f})
     fcol = tree.edge_column[f]
-    return collapsed, {c: collapsed.path_vector(c) + (tree.path_vector(c)[fcol],) for c in cords}
+    return [collapsed.path_vector(c) + (tree.path_vector(c)[fcol],) for c in cords]
 
 
 def contraction_extends(tree, f, base_cords, c):
     """Whether a basis of the collapsed tree extends by ``c`` to one of the tree.
 
-    ``base_cords`` must be a basis of ``tree.contract({f})``.  The cord's
-    coordinates over the basis are taken in the collapsed tree; the extension
-    is a basis of the full tree exactly when those coordinates disagree with
-    the incidence of edge ``f``: sum of coordinates of the basis cords whose
-    full-tree path uses ``f`` differs from the f-incidence of ``c`` itself.
+    ``base_cords`` must be a basis of ``tree.contract({f})`` (else ValueError).
+    Over it the tail residual of ``c`` is, up to a nonzero factor, the
+    f-incidence of ``c`` minus the coordinate-weighted f-incidence of the
+    basis cords; the extension is a basis of the tree iff it is nonzero.
     """
-    _, rows = _collapse_rows(tree, f, set(base_cords) | {c})
-    ((_, weight),) = _collapse_residuals(rows, base_cords, [c])
-    return weight != 0
+    *rows, row = _collapse_rows(tree, f, [*sorted(base_cords), c])
+    space = RowSpace(len(row) - 1, tail=1)
+    for b in rows:
+        if not space.add(b):
+            raise ValueError("cord set is not independent in the collapsed tree")
+    if space.rank != space.ncols:
+        raise ValueError("cord set does not span the collapsed tree")
+    return space.reduce(row)[-1] != 0
 
 
 def contraction_bases(tree, f, max_leaves=7):
     """Bases of the tree, generated from the bases of the tree with ``f`` collapsed.
 
-    For each basis of the collapsed tree, every cord joins it when its
-    coordinate-weighted f-incidence test passes (see ``contraction_extends``);
-    duplicates are removed.  The set of results equals ``bases(tree)``.
-    The test runs fraction-free in ``RowSpace`` with the f-incidence as a
-    carried tail, so the inner loop is integer-only yet exact.
+    The basis search runs on the collapsed tree's rows with their f-tails
+    (see ``contraction_extends``).  At each collapsed basis every other cord
+    is reduced once against the search's own space and joins when its tail
+    residual is nonzero, each result once; together they are ``bases(tree)``.
     """
     if not tree.is_interior_edge(f):
         raise ValueError(f"edge {f} is pendant; collapse needs an interior edge")
+    if tree.n_leaves > max_leaves:
+        raise ScaleBoundError(
+            f"{tree.n_leaves} leaves exceeds the basis-enumeration bound of {max_leaves}")
     cords = sorted(all_cords(tree.leaves))
-    collapsed, rows = _collapse_rows(tree, f, cords)
+    rows = _collapse_rows(tree, f, cords)
     seen = set()
-    for base in bases(collapsed, max_leaves=max_leaves):
-        for c, weight in _collapse_residuals(rows, base, cords):
-            if weight != 0:
-                extended = base | {c}
+    for chosen, space in _basis_dfs(rows, tail=1):
+        base = [cords[i] for i in chosen]
+        for i, row in enumerate(rows):
+            if i not in chosen and space.reduce(row)[-1]:
+                extended = frozenset([*base, cords[i]])
                 if extended not in seen:
                     seen.add(extended)
                     yield extended

@@ -84,19 +84,21 @@ def tree_from_oracle(rank_oracle, labels, max_leaves=8):
     """The unique tree whose displayed quartets match the oracle's.
 
     Grows from the star on the first three labels, hanging each next leaf
-    where the tree displays exactly the oracle's quartets on the leaves so
-    far.  Quartets determine a tree, so one place fits or none (not a tree).
+    where the quartets through it are the oracle's; the others hold already,
+    since removing the leaf gives back the tree grown so far.  Quartets
+    determine a tree, so one place fits or none (not a tree).
     """
     labels = sorted(labels)
     if len(labels) > max_leaves:
         raise ScaleBoundError(
             f"{len(labels)} leaves exceeds the recovery bound of {max_leaves}")
-    want = quartet_set_from_oracle(rank_oracle, labels).resolved
+    want = {frozenset(p + q): (p, q)
+            for p, q in quartet_set_from_oracle(rank_oracle, labels).resolved}
     tree = star_tree(labels[:3])
     for label in labels[3:]:
-        target = frozenset(q for q in want if max(q[0] + q[1]) <= label)
-        tree = next((t for t in hang_leaf(tree, label)
-                     if quartet_set_of_tree(t).resolved == target), None)
+        fours = [(*trio, label) for trio in itertools.combinations(tree.leaves, 3)]
+        tree = next((t for t in hang_leaf(tree, label) if all(
+            quartet_topology(t, four) == want.get(frozenset(four)) for four in fours)), None)
         if tree is None:
             raise ValueError("no tree displays the oracle's quartets")
     return tree

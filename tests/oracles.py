@@ -1,9 +1,9 @@
 """Independent oracles used to cross-check the package.
 
 Everything here is deliberately written from scratch against the raw
-definitions (set partitions, Prufer sequences, minors, vertex enumeration,
-breadth-first distances) so that it shares no code path with the modules it
-checks.
+definitions (set partitions, Prufer sequences, minors, minimal dependent
+sets, vertex enumeration, breadth-first distances) so that it shares no
+code path with the modules it checks.
 """
 
 from __future__ import annotations
@@ -257,6 +257,47 @@ def vertex_feasible(equalities, strict, weak, box=1000):
         if all(sum(c * z for c, z in zip(row, point)) >= b for row, b in ge_rows):
             return True
     return False
+
+
+def gauss_jordan_rank(rows):
+    """Rank by Gauss-Jordan elimination, pivoting column by column.
+
+    Each pivot row is divided by its pivot as a Fraction and cleared from
+    every other row; zero entries are left as they are.
+    """
+    m = [list(row) for row in rows]
+    rank = 0
+    for col in range(len(m[0]) if m else 0):
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        pv = Fraction(m[rank][col])
+        m[rank] = [x / pv if x else x for x in m[rank]]
+        for i in range(len(m)):
+            f = m[i][col]
+            if i != rank and f:
+                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return rank
+
+
+def minimal_dependent_sets(vectors, max_size):
+    """Circuits of the vector matroid on the keys of ``vectors``, brute force.
+
+    Ranks every key subset of size up to ``max_size`` once, then keeps the
+    dependent subsets whose single deletions are all independent.  Returned
+    by size, then by sorted keys, as frozensets.
+    """
+    keys = sorted(vectors)
+    independent = {}
+    for size in range(max_size + 1):
+        for subset in itertools.combinations(keys, size):
+            rank = gauss_jordan_rank([vectors[k] for k in subset])
+            independent[subset] = rank == size
+    return [frozenset(subset) for subset, ok in independent.items()
+            if not ok and all(independent[subset[:i] + subset[i + 1:]]
+                              for i in range(len(subset)))]
 
 
 # -- distances on raw trees ---------------------------------------------------------

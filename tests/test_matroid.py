@@ -104,6 +104,18 @@ def test_circuits_max_size_guard(quartet):
         list(matroid.circuits(quartet, max_size=len(quartet.edge_ids) + 2))
 
 
+def test_circuits_match_minimal_dependent_set_oracle():
+    for n in (3, 4, 5):
+        for t in trees_on(n):
+            vectors = {c: t.path_vector(c) for c in lm.all_cords(t.leaves)}
+            limit = len(t.edge_ids) + 1
+            expected = oracles.minimal_dependent_sets(vectors, limit)
+            for max_size in range(-1, limit + 1):
+                want = [circ for circ in expected if len(circ) <= max_size]
+                assert list(matroid.circuits(t, max_size)) == want
+            assert list(matroid.circuits(t)) == expected
+
+
 def test_circuit_minimality_everywhere():
     for t in trees_on(5):
         for circ in matroid.circuits(t):
@@ -171,11 +183,11 @@ def test_independence_augmentation():
 
 def test_fundamental_circuit_property():
     for t in trees_on(5):
+        found = list(matroid.circuits(t))
         for base in itertools.islice(matroid.bases(t), 12):
             outside = lm.all_cords(t.leaves) - base
             for c in sorted(outside)[:4]:
-                inside = [circ for circ in matroid.circuits(t)
-                          if circ <= (base | {c})]
+                inside = [circ for circ in found if circ <= (base | {c})]
                 assert len(inside) == 1
                 assert c in inside[0]
 
@@ -197,6 +209,16 @@ def test_contraction_extends_star_basis_pattern(quartet):
     assert not matroid.contraction_extends(quartet, f, b1, lm.cord("d", "b"))
     assert matroid.contraction_extends(quartet, f, b2, lm.cord("d", "a"))
     assert matroid.contraction_extends(quartet, f, b2, lm.cord("d", "b"))
+
+
+def test_contraction_extends_refuses_a_base_that_does_not_span(quartet):
+    f = quartet.interior_edge_ids[0]
+    # independent in the collapsed star, but of rank 3 there, not 4
+    with pytest.raises(ValueError, match="does not span"):
+        matroid.contraction_extends(quartet, f, cords("ab", "bc", "cd"), lm.cord("a", "d"))
+    with pytest.raises(ValueError, match="not independent"):
+        matroid.contraction_extends(quartet, f, cords("ab", "bc", "ca", "da", "db"),
+                                    lm.cord("c", "d"))
 
 
 def test_contraction_coordinates_of_the_missing_cord(quartet):
