@@ -2,8 +2,9 @@
 
 A cord set is a topological lasso when no competing tree shape admits
 weightings that agree with the original tree on those cords.  The decider
-here is exact brute force: every shape on the same leaves is tried through
-rational linear feasibility.  Two-sided cord sets (all pairs across a leaf
+here is exact: competing shapes grow one leaf at a time, and a partial shape
+is dropped as soon as rational linear feasibility shows it cannot agree with
+the tree restricted to its leaves.  Two-sided cord sets (all pairs across a leaf
 bipartition) are the key examples: they work exactly when each side clips
 every cherry.
 """
@@ -26,7 +27,7 @@ two = lm.cross_cords(side_a, side_b)
 print("sides", sorted(side_a), "|", sorted(side_b))
 print("  split check (each cherry meets both sides):",
       lasso.split_check(cat, side_a, side_b))
-print("  brute-force topological decision:", lm.is_topological_lasso(cat, two))
+print("  exact topological decision:", lm.is_topological_lasso(cat, two))
 
 report = lasso.bipartite_analysis(cat, two)
 print("  rank:", report.rank, "=", len(cat.edge_ids), "- 1 ->",

@@ -3,36 +3,26 @@
 A cord set is an edge-weight lasso when its distances pin down every edge
 weight (a spanning set of the cord matroid), a topological lasso when
 agreement of distances on it forces the tree shape itself, and a strong
-lasso when it is both.  The topological decider here is an exact brute
-force: it enumerates every competing tree shape on the same leaves and asks,
-with exact linear feasibility, whether admissible weightings of the two
-trees can agree on the given cords.  "Admissible" means strictly positive on
-interior edges and non-negative on pendant edges; pass ``pendant_strict=True``
-to require strict positivity on pendant edges as well.
+lasso when it is both.  The topological decider here is exact: it grows
+competing tree shapes leaf by leaf, pruned by exact linear feasibility.
+"Admissible" weightings are strictly positive on interior edges and
+non-negative on pendant edges; pass ``pendant_strict=True`` to require strict
+positivity on pendant edges as well.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 
 from . import matroid
 from .errors import ScaleBoundError
 from .exact import LinearSystem, feasible
 from .stargraph import analyze
-from .tree import all_cords, cord, cross_cords, enumerate_xtrees
+from .tree import all_cords, cord, cross_cords, grow, star_tree
 
-_enumeration_cache = {}
 _topological_memo = {}
-
-
-def _shapes_on(labels):
-    key = tuple(sorted(labels))
-    if key not in _enumeration_cache:
-        # most resolved competitors first: an agreeing shape is found after fewer feasible() calls
-        shapes = sorted(enumerate_xtrees(key), key=lambda t: -len(t.edge_ids))
-        _enumeration_cache[key] = tuple(shapes)
-    return _enumeration_cache[key]
 
 
 def leaf_bipartitions(labels):
@@ -51,17 +41,9 @@ def leaf_bipartitions(labels):
 
 def is_t_cover(tree, cords):
     """Every pair of edges meeting at an interior vertex lies on some cord's path."""
-    interior = tree.interior_vertices
-    needed = set()
+    needed = {(v, frozenset((e1, e2))) for v in tree.interior_vertices
+              for (_, e1), (_, e2) in itertools.combinations(tree.neighbors(v), 2)}
     edges = tree.edges
-    incident = {v: [] for v in interior}
-    for eid, pair in edges.items():
-        for v in pair:
-            if v in interior:
-                incident[v].append(eid)
-    for v, eids in incident.items():
-        for e1, e2 in itertools.combinations(sorted(eids), 2):
-            needed.add((v, frozenset((e1, e2))))
     for c in cords:
         path = tree.cord_path(c)
         for e1, e2 in zip(path, path[1:]):
@@ -149,13 +131,15 @@ def _agreement_system(shape, tree, cords, pendant_strict):
 
 
 def is_topological_lasso(tree, cords, max_leaves=6, pendant_strict=False):
-    """Exact brute-force decision of the topological-lasso property.
+    """Exact decision of the topological-lasso property.
 
-    For every non-equivalent tree shape on the same leaves, decides whether
-    admissible weightings of the two trees can agree on the given cords;
-    the set is a topological lasso exactly when no such agreement exists.
-    A disconnected cord graph fails immediately when there are at least four
-    leaves (with three leaves there is only one shape, so everything passes).
+    No other shape on the leaves may have an admissible weighting agreeing
+    with one of the tree's on the cords.  Competing shapes grow one leaf at a
+    time, most cords first; a prefix on leaves Y is kept only while it can
+    agree with the tree restricted to Y on the cords inside Y, since
+    restricting agreeing weightings (summing along condensed chains) keeps
+    them admissible and agreeing.  A disconnected cord graph fails at once
+    from four leaves on; three leaves allow one shape, so everything passes.
     """
     labels = tree.leaves
     if len(labels) > max_leaves:
@@ -165,21 +149,31 @@ def is_topological_lasso(tree, cords, max_leaves=6, pendant_strict=False):
     for c in cords:
         if c[0] not in labels or c[1] not in labels:
             raise ValueError(f"cord {c} is not over the leaf set")
-    if len(labels) >= 4:
-        if len(analyze(labels, cords).components) > 1:
-            return False
-    own = tree.canonical_form()
-    key = (own, cords, pendant_strict)
+    if len(labels) < 4:
+        return True
+    if len(analyze(labels, cords).components) > 1:
+        return False
+    key = (tree.canonical_form(), cords, pendant_strict)
     cached = _topological_memo.get(key)
     if cached is not None:
         return cached
-    result = True
-    for shape in _shapes_on(labels):
-        if shape.canonical_form() == own:
-            continue
-        if feasible(_agreement_system(shape, tree, cords, pendant_strict)):
-            result = False
-            break
+    ends = Counter(x for c in cords for x in c)
+    order = sorted(labels, key=lambda x: (-ends[x], x))
+    levels = {}   # leaf count -> (tree restricted to those leaves, its form, cords inside)
+    for k in range(4, len(order) + 1):
+        ys = set(order[:k])
+        sub = tree.restrict(ys)[0]
+        levels[k] = (sub, sub.canonical_form(), [c for c in cords if set(c) <= ys])
+
+    def can_agree(prefix):
+        sub, form, inside = levels[prefix.n_leaves]
+        if prefix.canonical_form() == form:
+            return prefix.n_leaves < len(order)   # the tree itself is no competitor
+        # each tree of the system has at most 2 * max_leaves - 3 edges
+        return feasible(_agreement_system(prefix, sub, inside, pendant_strict),
+                        max_variables=2 * (2 * max_leaves - 3))
+
+    result = next(grow(star_tree(order[:3]), order[3:], keep=can_agree), None) is None
     _topological_memo[key] = result
     return result
 

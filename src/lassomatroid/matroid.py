@@ -142,10 +142,24 @@ def bases(tree, max_leaves=7):
 
 
 def coloops(tree):
-    """Cords contained in every basis: dropping them lowers the full rank."""
-    cords = all_cords(tree.leaves)
-    full = len(tree.edge_ids)
-    return frozenset(c for c in cords if rank_of(tree, cords - {c}) < full)
+    """Cords contained in every basis: those on no fundamental circuit.
+
+    One greedy pass over the sorted cords.  A cord that enlarges the span
+    joins the basis with a unit tail at its basis index; any other cord's
+    tail residual is nonzero exactly at the basis cords of its fundamental
+    circuit.  A basis cord is a co-loop iff no such circuit uses it.
+    """
+    m = len(tree.edge_ids)
+    space = RowSpace(m, tail=m)
+    basis, used = [], set()
+    for c in sorted(all_cords(tree.leaves)):
+        k = len(basis)
+        residual = space.reduce([*tree.path_vector(c), *(int(i == k) for i in range(m))])
+        if space.add(residual):
+            basis.append(c)
+        else:
+            used.update(i for i in range(k) if residual[m + i])
+    return frozenset(c for i, c in enumerate(basis) if i not in used)
 
 
 def _collapse_rows(tree, f, cords):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import matroid
 from .errors import ScaleBoundError
-from .tree import all_cords, cord, hang_leaf, quartet_topology, star_tree
+from .tree import all_cords, cord, grow, quartet_topology, star_tree
 
 
 def _cycle_with_diagonals(pair1, pair2):
@@ -83,10 +83,10 @@ def quartet_set_from_oracle(rank_oracle, labels):
 def tree_from_oracle(rank_oracle, labels, max_leaves=8):
     """The unique tree whose displayed quartets match the oracle's.
 
-    Grows from the star on the first three labels, hanging each next leaf
-    where the quartets through it are the oracle's; the others hold already,
-    since removing the leaf gives back the tree grown so far.  Quartets
-    determine a tree, so one place fits or none (not a tree).
+    Grows from the star on the first three labels, keeping a tree only when
+    the quartets through its newest leaf are the oracle's; the others hold
+    already, since removing that leaf gives back the tree it grew from.
+    Quartets determine a tree, so one tree survives or none (not a tree).
     """
     labels = sorted(labels)
     if len(labels) > max_leaves:
@@ -94,13 +94,17 @@ def tree_from_oracle(rank_oracle, labels, max_leaves=8):
             f"{len(labels)} leaves exceeds the recovery bound of {max_leaves}")
     want = {frozenset(p + q): (p, q)
             for p, q in quartet_set_from_oracle(rank_oracle, labels).resolved}
-    tree = star_tree(labels[:3])
-    for label in labels[3:]:
-        fours = [(*trio, label) for trio in itertools.combinations(tree.leaves, 3)]
-        tree = next((t for t in hang_leaf(tree, label) if all(
-            quartet_topology(t, four) == want.get(frozenset(four)) for four in fours)), None)
-        if tree is None:
-            raise ValueError("no tree displays the oracle's quartets")
+    # the quartets through the k-th label, with the oracle's answer for each
+    through = {k: [(four, want.get(frozenset(four))) for four in
+                   ((*trio, labels[k - 1]) for trio in itertools.combinations(labels[:k - 1], 3))]
+               for k in range(4, len(labels) + 1)}
+
+    def fits(t):
+        return all(quartet_topology(t, four) == w for four, w in through[t.n_leaves])
+
+    tree = next(grow(star_tree(labels[:3]), labels[3:], keep=fits), None)
+    if tree is None:
+        raise ValueError("no tree displays the oracle's quartets")
     return tree
 
 

@@ -678,19 +678,21 @@ def hang_leaf(tree, label, binary=False):
             yield XTree(dict(enumerate(edge_list + [(v, mid)])), {**leaves, label: mid})
 
 
-def _grow(tree, labels, binary):
-    """Depth-first: every tree grown from ``tree`` by hanging ``labels`` in order."""
+def grow(tree, labels, binary=False, keep=None):
+    """Depth-first: every tree grown from ``tree`` by hanging ``labels`` in order,
+    skipping each grown tree that ``keep`` refuses and all grown from it."""
     if not labels:
         yield tree
         return
     for bigger in hang_leaf(tree, labels[0], binary):
-        yield from _grow(bigger, labels[1:], binary)
+        if keep is None or keep(bigger):
+            yield from grow(bigger, labels[1:], binary, keep)
 
 
 def enumerate_binary_xtrees(labels):
     """All binary trees on the labels, one per equivalence class."""
     labels = sorted(labels)
-    return list(_grow(star_tree(labels[:3]), labels[3:], binary=True))
+    return list(grow(star_tree(labels[:3]), labels[3:], binary=True))
 
 
 def enumerate_xtrees(labels, max_leaves=8):
@@ -703,4 +705,4 @@ def enumerate_xtrees(labels, max_leaves=8):
     if len(labels) > max_leaves:
         raise ScaleBoundError(
             f"{len(labels)} leaves exceeds the enumeration bound of {max_leaves}")
-    yield from _grow(star_tree(labels[:3]), labels[3:], binary=False)
+    yield from grow(star_tree(labels[:3]), labels[3:])

@@ -1,4 +1,9 @@
+import contextlib
+import io
 import json
+import os
+
+from hypothesis import given, settings, strategies as st
 
 from lassomatroid import cli
 from lassomatroid.tree import tree_from_newick
@@ -209,3 +214,47 @@ def test_deeply_nested_newick_is_not_a_crash(tmp_path, capsys):
     code, out, err = run(capsys, "rank", "--newick", text + ";", "--cords", path)
     assert code == 0, err
     assert out.strip() == "rank: 0"
+
+
+def quiet_exit_code(*argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        return cli.main(list(argv))
+
+
+def mangled(text, cut, insert):
+    """``text`` with one slice replaced, positions taken modulo its length."""
+    i, j = sorted((cut[0] % len(text), cut[1] % len(text)))
+    return text[:i] + insert + text[j:]
+
+
+newick_noise = st.text(alphabet="(),:;abcd0123/.- ", max_size=30)
+
+
+@given(st.one_of(newick_noise,
+                 st.builds(mangled, st.sampled_from([QUARTET, STAR4, "((a:1,b:2/3):0.5,c:1,d:-1);"]),
+                           st.tuples(st.integers(0, 40), st.integers(0, 40)), newick_noise)))
+@settings(max_examples=200, deadline=None)
+def test_malformed_newick_exits_2_or_3(text):
+    try:
+        tree_from_newick(text)
+        malformed = False
+    except ValueError:
+        malformed = True
+    code = quiet_exit_code("rank", "--newick", text, "--cords", os.devnull)
+    assert code in ((2, 3) if malformed else (0,))
+
+
+@given(st.one_of(st.text(alphabet="abcdz #-\n\t", max_size=40).map(str.encode),
+                 st.binary(max_size=40)))
+@settings(max_examples=200, deadline=None)
+def test_cord_file_exit_codes_are_never_internal_errors(tmp_path_factory, content):
+    path = tmp_path_factory.mktemp("cords") / "cords.txt"
+    path.write_bytes(content)
+    try:
+        with open(path) as fh:
+            cli.read_cord_file(fh, "abcd")
+        malformed = False
+    except (cli._UsageError, ValueError):
+        malformed = True
+    code = quiet_exit_code("verdict", "--newick", QUARTET, "--cords", str(path))
+    assert code in ((2, 3) if malformed else (0,))

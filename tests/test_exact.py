@@ -263,7 +263,8 @@ def test_integer_feasibility_builds_no_fraction(monkeypatch):
                           weak_inequalities=[([0, 0, 1], -5)])
     assert feasible(system)
     # a two-sided set splitting both cherries of a 5-leaf caterpillar is a
-    # topological lasso, so every competing shape gets a feasibility call
+    # topological lasso, so every grown prefix that differs from the tree's
+    # restriction gets a feasibility call
     tree = lm.tree_from_newick("((a,b),c,(d,e));")
     assert lasso.is_topological_lasso(tree, lm.cross_cords("ad", "bce"))
 

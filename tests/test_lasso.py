@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -71,7 +72,7 @@ def test_pointed_cover_intersections_force_caterpillar_ends():
                     assert t.interior_vertices <= path
 
 
-# -- the brute-force topological decider -------------------------------------------
+# -- the topological decider ------------------------------------------------------
 
 
 def test_topological_examples(quartet):
@@ -105,6 +106,46 @@ def test_topological_matches_split_characterization():
                 topological = lm.is_topological_lasso(t, two)
                 assert topological == lasso.split_check(t, side_a, side_b)
                 assert topological == lasso.is_t_cover(t, two)
+
+
+def exhaustive_topological(tree, cords, pendant_strict):
+    """No competing shape on the same leaves can agree with the tree on the cords."""
+    own = tree.canonical_form()
+    return not any(
+        shape.canonical_form() != own
+        and lm.feasible(lasso._agreement_system(shape, tree, cords, pendant_strict))
+        for shape in lm.enumerate_xtrees(tree.leaves))
+
+
+def test_pruned_decider_matches_exhaustive_shape_search(monkeypatch):
+    monkeypatch.setattr(lasso, "_topological_memo", {})
+    cases = []
+    every = sorted(lm.all_cords(letters(4)))
+    for t in trees_on(4):
+        for r in range(len(every) + 1):
+            cases += [(t, frozenset(sub)) for sub in itertools.combinations(every, r)]
+    rng = random.Random(5)
+    every = sorted(lm.all_cords(letters(5)))
+    for _ in range(60):
+        p = rng.choice((0.5, 0.7, 0.9))
+        cases.append((rng.choice(trees_on(5)), frozenset(c for c in every if rng.random() < p)))
+    seen = set()
+    for t, sub in cases:
+        for strict in (False, True):
+            want = exhaustive_topological(t, sub, strict)
+            assert lm.is_topological_lasso(t, sub, pendant_strict=strict) == want, \
+                (t, sorted(sub), strict)
+            seen.add((t.n_leaves, want))
+    assert seen == {(4, False), (4, True), (5, False), (5, True)}
+
+
+def test_topological_variable_cap_follows_the_leaf_bound():
+    # 8 leaves give agreement systems of 26 variables; the leaf bound admits them
+    t = lm.tree_from_newick("(((a,b),(c,d)),((e,f),(g,h)));")
+    for side_a, side_b in (("aceg", "bdfh"), ("abcd", "efgh")):
+        two = lm.cross_cords(side_a, side_b)
+        assert lm.is_topological_lasso(t, two, max_leaves=8) \
+            == lasso.split_check(t, set(side_a), set(side_b))
 
 
 def test_pendant_strict_toggle_weakens_nothing(quartet):

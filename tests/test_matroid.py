@@ -7,6 +7,7 @@ import oracles
 import lassomatroid as lm
 from lassomatroid import matroid
 from helpers import cords, letters, trees_on
+from lassomatroid.tree import hang_leaf
 
 
 def test_path_vector_quartet(quartet):
@@ -143,6 +144,18 @@ def test_coloops_examples(quartet, star3, star4):
     assert matroid.coloops(quartet) == cords("ab", "cd")
     assert matroid.coloops(star4) == frozenset()
     assert matroid.coloops(star3) == lm.all_cords("abc")
+
+
+def test_coloops_are_proper_cherries_at_scale():
+    labels = [f"x{i:02d}" for i in range(24)]
+    rng = random.Random(20)
+    grown = lm.star_tree(labels[:3])
+    for x in labels[3:20]:
+        grown = rng.choice(list(hang_leaf(grown, x)))
+    for t in (lm.caterpillar_tree(labels), grown):
+        proper = frozenset(c for c, is_proper in t.cherries() if is_proper)
+        assert proper
+        assert matroid.coloops(t) == proper
 
 
 def test_rank_monotone_submodular_unit_increase():

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracles
 import lassomatroid as lm
@@ -97,6 +98,34 @@ def test_newick_roundtrip_deeper_than_the_recursion_limit():
     again = lm.tree_from_newick(tree.to_newick())
     assert lm.are_equivalent(tree, again)
     assert again.to_newick() == tree.to_newick()
+
+
+@st.composite
+def grown_trees(draw, max_leaves=8):
+    """A shape on 3 to ``max_leaves`` letters, each leaf hung at a drawn place."""
+    labels = letters(draw(st.integers(3, max_leaves)))
+    t = lm.star_tree(labels[:3])
+    for x in labels[3:]:
+        t = draw(st.sampled_from(list(hang_leaf(t, x))))
+    return t
+
+
+@given(grown_trees(), st.booleans(), st.data())
+@settings(max_examples=150, deadline=None)
+def test_newick_roundtrip_of_grown_shapes(t, weighted, data):
+    weighting = None
+    if weighted:
+        weights = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+        weighting = {eid: data.draw(weights) for eid in t.edge_ids}
+    text = t.to_newick(weighting)
+    again, w2 = lm.parse_newick(text)
+    assert lm.are_equivalent(t, again)
+    assert again.to_newick(w2) == text
+    if weighted:
+        for c in lm.all_cords(t.leaves):
+            assert again.distance(w2, c) == t.distance(weighting, c)
+    else:
+        assert w2 is None
 
 
 def test_side_splits_the_leaves_at_an_edge(quartet):
