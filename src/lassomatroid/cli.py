@@ -21,7 +21,7 @@ import traceback
 
 from . import lasso, matroid, reconstruct, stargraph
 from .errors import NewickError, ScaleBoundError
-from .tree import cord, enumerate_xtrees, parse_newick, quartet_topology
+from .tree import LABEL_RE, cord, enumerate_xtrees, parse_newick, quartet_topology
 
 ENV_MAX_LEAVES = "LASSO_MATROID_MAX_LEAVES"
 
@@ -324,6 +324,10 @@ def _cmd_binary_check(args):
 
 def _cmd_enumerate_trees(args):
     labels = [x for x in args.leaves.split(",") if x]
+    for x in labels:
+        if not LABEL_RE.fullmatch(x):
+            raise _UsageError(f"--leaves label {x!r} is not a Newick label "
+                              "(letters, digits and underscores only)")
     if len(set(labels)) != len(labels):
         raise _UsageError("--leaves must be distinct")
     bound = _max_leaves(args, 8)

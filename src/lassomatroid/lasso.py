@@ -41,17 +41,14 @@ def leaf_bipartitions(labels):
 
 def is_t_cover(tree, cords):
     """Every pair of edges meeting at an interior vertex lies on some cord's path."""
-    needed = {(v, frozenset((e1, e2))) for v in tree.interior_vertices
+    column = tree.edge_column
+    needed = {(column[e1], column[e2]) for v in tree.interior_vertices
               for (_, e1), (_, e2) in itertools.combinations(tree.neighbors(v), 2)}
-    edges = tree.edges
     for c in cords:
-        path = tree.cord_path(c)
-        for e1, e2 in zip(path, path[1:]):
-            shared = edges[e1] & edges[e2]
-            (v,) = shared
-            needed.discard((v, frozenset((e1, e2))))
         if not needed:
-            return True
+            break
+        vec = tree.path_vector(c)
+        needed = {(i, j) for i, j in needed if not (vec[i] and vec[j])}
     return not needed
 
 
@@ -119,9 +116,9 @@ def _agreement_system(shape, tree, cords, pendant_strict):
                   for c in sorted(cords)]
     strict, weak = [], []
     for t, offset in ((shape, 0), (tree, m1)):
-        for eid in t.edge_ids:
+        for col, eid in enumerate(t.edge_ids):
             row = [0] * (m1 + m2)
-            row[offset + t.edge_column[eid]] = 1
+            row[offset + col] = 1
             if t.is_interior_edge(eid) or pendant_strict:
                 strict.append((row, 0))
             else:

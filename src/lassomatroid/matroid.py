@@ -248,7 +248,7 @@ def contract_rank_decomposition(tree, edge_ids, cords):
     collapsed = tree.contract(F)
     rank_collapsed = rank_of(collapsed, cords)
     # dimension of span vectors supported inside the collapsed columns
-    surviving_cols = [tree.edge_column[e] for e in tree.edge_ids if e not in F]
+    surviving_cols = [col for col, e in enumerate(tree.edge_ids) if e not in F]
     space = RowSpace(len(tree.edge_ids))
     restricted = RowSpace(len(surviving_cols))
     vanishing_dim = 0

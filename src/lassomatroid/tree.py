@@ -42,10 +42,18 @@ def cross_cords(side_a, side_b):
 
 
 class XTree:
-    """Unrooted leaf-labeled tree, no degree-2 vertices, at least 3 leaves."""
+    """Unrooted leaf-labeled tree, no degree-2 vertices, at least 3 leaves.
+
+    Construction walks the tree once, breadth-first from the first leaf's
+    neighbour.  The walk keeps the order in which it took the edges and, per
+    edge column, the edge's upper and lower end and the leaves below it as a
+    bitmask over the sorted labels: the edge's split of the leaves.  Paths,
+    sides, distances and quartets are read off those splits.
+    """
 
     __slots__ = ("_edges", "_leaf_vertex", "_vertex_leaf", "_adjacency",
-                 "_edge_ids", "_edge_column", "_canonical", "_vectors")
+                 "_edge_ids", "_edge_column", "_leaves", "_walk", "_upper",
+                 "_lower", "_below", "_canonical", "_vectors")
 
     def __init__(self, edges, leaves):
         self._edges = {eid: frozenset(pair) for eid, pair in dict(edges).items()}
@@ -63,34 +71,47 @@ class XTree:
         self._adjacency = {v: tuple(nbrs) for v, nbrs in adjacency.items()}
         self._edge_ids = tuple(sorted(self._edges))
         self._edge_column = {eid: i for i, eid in enumerate(self._edge_ids)}
+        self._leaves = tuple(sorted(self._leaf_vertex))
         self._canonical = None
         self._vectors = {}
         self._validate()
 
     def _validate(self):
-        vertices = self.vertices
-        if len(self._leaf_vertex) < 3:
+        """Check the tree, then store its split table from the one walk."""
+        adjacency = self._adjacency
+        if len(self._leaves) < 3:
             raise ValueError("an X-tree needs at least 3 leaves")
-        if len(self._edges) != len(vertices) - 1:
+        if len(self._edges) != len(adjacency) - 1:
             raise ValueError("edge count does not match a tree")
-        # connectivity
-        start = next(iter(vertices))
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for w, _ in self._adjacency.get(v, ()):
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        if seen != vertices:
-            raise ValueError("tree is not connected")
-        degree_one = {v for v in vertices if self.degree(v) == 1}
-        if degree_one != set(self._leaf_vertex.values()):
+        if {v for v, nbrs in adjacency.items() if len(nbrs) == 1} != self._vertex_leaf.keys():
             raise ValueError("degree-1 vertices must be exactly the labeled leaves")
-        for v in vertices:
-            if self.degree(v) == 2:
+        for v, nbrs in adjacency.items():
+            if len(nbrs) == 2:
                 raise ValueError(f"vertex {v!r} has degree 2")
+        root = adjacency[self._leaf_vertex[self._leaves[0]]][0][0]
+        column = self._edge_column
+        walk = []   # edge columns in the order the walk takes them
+        upper, lower = [None] * len(column), [None] * len(column)
+        below = {root: 0}   # vertex -> leaves below it; also the walk's visited set
+        queue = [root]
+        for v in queue:
+            for w, eid in adjacency[v]:
+                if w not in below:
+                    below[w] = 0
+                    queue.append(w)
+                    col = column[eid]
+                    walk.append(col)
+                    upper[col], lower[col] = v, w
+        if len(below) != len(adjacency):
+            raise ValueError("tree is not connected")
+        for i, x in enumerate(self._leaves):
+            below[self._leaf_vertex[x]] = 1 << i
+        masks = [0] * len(column)
+        for col in reversed(walk):
+            masks[col] = below[lower[col]]
+            below[upper[col]] |= masks[col]
+        self._walk = tuple(walk)
+        self._upper, self._lower, self._below = tuple(upper), tuple(lower), tuple(masks)
 
     # -- basic structure ---------------------------------------------------
 
@@ -109,12 +130,12 @@ class XTree:
 
     @property
     def edge_column(self):
-        """Mapping edge id -> column index in incidence vectors."""
+        """Mapping edge id -> column index in incidence vectors (its place in edge_ids)."""
         return dict(self._edge_column)
 
     @property
     def leaves(self):
-        return tuple(sorted(self._leaf_vertex))
+        return self._leaves
 
     @property
     def n_leaves(self):
@@ -144,12 +165,11 @@ class XTree:
 
     @property
     def interior_vertices(self):
-        leafset = set(self._leaf_vertex.values())
-        return frozenset(v for v in self._adjacency if v not in leafset)
+        return frozenset(v for v in self._adjacency if v not in self._vertex_leaf)
 
     def is_interior_edge(self, eid):
-        leafset = set(self._leaf_vertex.values())
-        return not (self._edges[eid] & leafset)
+        """Neither end is a leaf; a leaf is always the lower end of its edge."""
+        return self._lower[self._edge_column[eid]] not in self._vertex_leaf
 
     @property
     def interior_edge_ids(self):
@@ -163,40 +183,14 @@ class XTree:
     def is_binary(self):
         return all(self.degree(v) == 3 for v in self.interior_vertices)
 
-    # -- paths -------------------------------------------------------------
+    # -- splits, paths and distances -----------------------------------------
 
-    def path_edges(self, u, v):
-        """Ordered edge ids of the unique u-v path; empty when u == v."""
-        if u not in self._adjacency:
-            raise ValueError(f"unknown vertex {u!r}")
-        if v not in self._adjacency:
-            raise ValueError(f"unknown vertex {v!r}")
-        if u == v:
-            return []
-        parent = {u: None}
-        stack = [u]
-        while stack:
-            w = stack.pop()
-            if w == v:
-                break
-            for nbr, eid in self._adjacency[w]:
-                if nbr not in parent:
-                    parent[nbr] = (w, eid)
-                    stack.append(nbr)
-        path = []
-        w = v
-        while parent[w] is not None:
-            w, eid = parent[w]
-            path.append(eid)
-        path.reverse()
-        return path
-
-    def path_vertices(self, u, v):
-        """All vertices on the u-v path, including the ends."""
-        verts = {u}
-        for eid in self.path_edges(u, v):
-            verts |= self._edges[eid]
-        return verts
+    def _position_of(self, label):
+        """Place of a leaf in the sorted labels: its bit in the split masks."""
+        try:
+            return self._leaves.index(label)
+        except ValueError:
+            raise ValueError(f"unknown leaf label {label!r}") from None
 
     def side(self, eid, vertex):
         """Leaf labels on ``vertex``'s side of edge ``eid``.
@@ -206,31 +200,18 @@ class XTree:
         """
         if vertex not in self._edges[eid]:
             raise ValueError(f"vertex {vertex!r} is not an end of edge {eid}")
-        (beyond,) = self._edges[eid] - {vertex}
-        stack, seen, leaves = [vertex], {vertex, beyond}, set()
-        while stack:
-            v = stack.pop()
-            label = self._vertex_leaf.get(v)
-            if label is not None:
-                leaves.add(label)
-            for w, _ in self._adjacency[v]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return frozenset(leaves)
-
-    def cord_path(self, c):
-        a, b = c
-        return self.path_edges(self.leaf_vertex(a), self.leaf_vertex(b))
+        col = self._edge_column[eid]
+        mask = self._below[col]
+        if vertex != self._lower[col]:
+            mask ^= (1 << len(self._leaves)) - 1
+        return frozenset(x for i, x in enumerate(self._leaves) if mask >> i & 1)
 
     def path_vector(self, c):
-        """0/1 incidence tuple over edge columns: 1 iff the edge lies on the a-b path."""
+        """0/1 incidence tuple over edge columns: 1 iff the edge's split separates a from b."""
         vec = self._vectors.get(c)
         if vec is None:
-            cols = [0] * len(self._edge_ids)
-            for eid in self.cord_path(c):
-                cols[self._edge_column[eid]] = 1
-            vec = tuple(cols)
+            a, b = (self._position_of(x) for x in c)
+            vec = tuple((mask >> a ^ mask >> b) & 1 for mask in self._below)
             self._vectors[c] = vec
         return vec
 
@@ -238,7 +219,8 @@ class XTree:
         """Path sum of edge weights between the two leaves of the cord."""
         if set(weighting) != set(self._edges):
             raise ValueError("weighting domain must be exactly the edge set")
-        return sum((weighting[eid] for eid in self.cord_path(c)), Fraction(0))
+        on_path = zip(self._edge_ids, self.path_vector(c))
+        return sum((weighting[eid] for eid, on in on_path if on), Fraction(0))
 
     # -- cherries and shape ------------------------------------------------
 
@@ -277,23 +259,16 @@ class XTree:
         """Bottom-up value of the tree rooted next to its first leaf.
 
         ``make(v, via_edge, child_values)`` gives a vertex's value from its
-        children's; the walk is iterative, so depth is unbounded.
+        children's; the construction walk is replayed backwards, without
+        recursion, so depth is unbounded.
         """
-        root = self._adjacency[self.leaf_vertex(self.leaves[0])][0][0]
-        up = {root: (None, None)}   # vertex -> (parent, edge to it)
-        order = [root]
-        for v in order:
-            for w, eid in self._adjacency[v]:
-                if w not in up:
-                    up[w] = (v, eid)
-                    order.append(w)
-        children = {v: [] for v in order}
-        for v in reversed(order):
-            parent, via = up[v]
-            value = make(v, via, children[v])
-            if parent is not None:
-                children[parent].append(value)
-        return value
+        children = {}
+        for col in reversed(self._walk):
+            v = self._lower[col]
+            value = make(v, self._edge_ids[col], children.pop(v, []))
+            children.setdefault(self._upper[col], []).append(value)
+        root = self._upper[self._walk[0]]
+        return make(root, None, children[root])
 
     def canonical_form(self):
         """Canonical string; equal strings == leaf-fixing isomorphism."""
@@ -438,21 +413,24 @@ def are_equivalent(t1, t2):
 def quartet_topology(tree, four):
     """Shape of the tree restricted to four leaves.
 
-    Returns the separated pair of cords ``(xy, zw)`` when the restriction has
-    a central edge splitting {x,y} from {z,w}, or None when it is a star.
-    The two leaf-to-leaf paths of a separated pair are vertex-disjoint, and
-    exactly one of the three pairings is separated in that case.
+    Returns the separated pair of cords ``(xy, zw)`` when some edge's split
+    puts {x,y} on one side and {z,w} on the other, or None when no edge
+    splits the four two against two (the restriction is a star).  At most
+    one of the three pairings is separated.
     """
     labels = sorted(set(four))
     if len(labels) != 4:
         raise ValueError("need four distinct leaves")
     a, b, c, d = labels
-    verts = {x: tree.leaf_vertex(x) for x in labels}
-    for (p, q), (r, s) in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
-        path1 = tree.path_vertices(verts[p], verts[q])
-        path2 = tree.path_vertices(verts[r], verts[s])
-        if not (path1 & path2):
-            return (cord(p, q), cord(r, s))
+    bit = {x: 1 << tree._position_of(x) for x in labels}
+    pairing_of = {bit[p] | bit[q]: pairing
+                  for pairing in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
+                  for p, q in pairing}
+    four_bits = sum(bit.values())
+    for mask in tree._below:
+        pairing = pairing_of.get(mask & four_bits)
+        if pairing is not None:
+            return pairing
     return None
 
 

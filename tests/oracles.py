@@ -2,8 +2,8 @@
 
 Everything here is deliberately written from scratch against the raw
 definitions (set partitions, Prufer sequences, minors, minimal dependent
-sets, vertex enumeration, breadth-first distances) so that it shares no
-code path with the modules it checks.
+sets, vertex enumeration, breadth-first distances and edge sides) so that
+it shares no code path with the modules it checks.
 """
 
 from __future__ import annotations
@@ -319,6 +319,28 @@ def bfs_distances(edge_weights, source):
                 dist[y] = dist[x] + w
                 queue.append(y)
     return dist
+
+
+def leaf_side(edge_pairs, vertex_label, removed, start):
+    """Labels of the leaves in ``start``'s component once edge ``removed`` is gone.
+
+    ``edge_pairs`` maps edge id -> pair of vertices, ``vertex_label`` maps each
+    leaf vertex to its label.
+    """
+    adjacency = {}
+    for eid, pair in edge_pairs.items():
+        if eid != removed:
+            u, v = tuple(pair)
+            adjacency.setdefault(u, []).append(v)
+            adjacency.setdefault(v, []).append(u)
+    seen = {start}
+    queue = [start]
+    for x in queue:
+        for y in adjacency.get(x, ()):
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return frozenset(vertex_label[v] for v in seen if v in vertex_label)
 
 
 def quartet_from_distances(dist):

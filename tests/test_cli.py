@@ -191,6 +191,14 @@ def test_enumerate_trees_count(capsys):
     assert out.strip() == "26"
 
 
+def test_enumerate_trees_rejects_labels_newick_cannot_hold(capsys):
+    for leaves, bad in (("a:1,b;c,d", "a:1"), ("a b,c,d", "a b")):
+        code, out, err = run(capsys, "enumerate-trees", "--leaves", leaves)
+        assert code == 2
+        assert out == ""
+        assert repr(bad) in err
+
+
 def test_tree_file_input(tmp_path, capsys):
     tree_path = tmp_path / "tree.nwk"
     tree_path.write_text(QUARTET + "\n")

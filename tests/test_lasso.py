@@ -67,9 +67,10 @@ def test_pointed_cover_intersections_force_caterpillar_ends():
                 if per_leaf[x1] & per_leaf[x2]:
                     assert t.is_caterpillar()
                     # the two anchors sit at opposite ends: their path passes
-                    # every interior vertex
-                    path = t.path_vertices(t.leaf_vertex(x1), t.leaf_vertex(x2))
-                    assert t.interior_vertices <= path
+                    # every interior edge
+                    path = t.path_vector(lm.cord(x1, x2))
+                    for eid in t.interior_edge_ids:
+                        assert path[t.edge_column[eid]] == 1
 
 
 # -- the topological decider ------------------------------------------------------

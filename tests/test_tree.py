@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 import oracles
 import lassomatroid as lm
 from helpers import letters, trees_on, binary_trees_on
-from lassomatroid.tree import hang_leaf
+from lassomatroid.tree import XTree, hang_leaf
 
 
 # -- parsing -------------------------------------------------------------------
@@ -128,6 +128,28 @@ def test_newick_roundtrip_of_grown_shapes(t, weighted, data):
         assert w2 is None
 
 
+def test_xtree_validation_messages():
+    abc = {"a": 0, "b": 1, "c": 2}
+    star = {0: (0, 3), 1: (1, 3), 2: (2, 3)}
+    cases = [
+        (star, {"a": 0, "b": 0, "c": 2}, "do not map to distinct vertices"),
+        ({**star, 0: (0, 0)}, abc, "edge 0 is not a 2-set"),
+        ({0: (0, 2)}, {"a": 0, "b": 1}, "at least 3 leaves"),
+        ({**star, 3: (4, 5)}, abc, "edge count does not match a tree"),
+        (star, {"a": 0, "b": 1, "c": 9}, "degree-1 vertices must be exactly"),
+        ({**star, 3: (3, 4), 4: (4, 5)}, {**abc, "d": 5}, "vertex 4 has degree 2"),
+    ]
+    # three stars and a K4: one edge fewer than vertices, every degree allowed
+    stars = {3 * s + j: (10 * s + j, 100 + s) for s in range(3) for j in range(3)}
+    k4 = itertools.combinations(range(200, 204), 2)
+    stars.update((9 + i, pair) for i, pair in enumerate(k4))
+    cases.append((stars, {x: 10 * (i // 3) + i % 3 for i, x in enumerate("abcdefghi")},
+                  "tree is not connected"))
+    for edges, leaves, message in cases:
+        with pytest.raises(ValueError, match=message):
+            XTree(edges, leaves)
+
+
 def test_side_splits_the_leaves_at_an_edge(quartet):
     (central,) = quartet.interior_edge_ids
     u, v = sorted(quartet.edges[central], key=repr)
@@ -156,20 +178,35 @@ def test_newick_weight_roundtrip(quartet):
 # -- paths and distances ----------------------------------------------------------
 
 
-def test_path_edges_quartet(quartet):
-    a, b, c = (quartet.leaf_vertex(x) for x in "abc")
-    cherry = quartet.path_edges(a, b)
-    crossing = quartet.path_edges(a, c)
-    assert len(cherry) == 2
-    assert len(crossing) == 3
-    central = [e for e in quartet.edge_ids if quartet.is_interior_edge(e)]
-    assert central[0] in crossing and central[0] not in cherry
-    assert quartet.path_edges(a, a) == []
+def test_path_vector_quartet(quartet):
+    cherry = quartet.path_vector(lm.cord("a", "b"))
+    crossing = quartet.path_vector(lm.cord("a", "c"))
+    assert sum(cherry) == 2
+    assert sum(crossing) == 3
+    (central,) = quartet.interior_edge_ids
+    col = quartet.edge_column[central]
+    assert crossing[col] == 1 and cherry[col] == 0
 
 
-def test_path_edges_unknown_vertex(quartet):
+def test_path_vector_unknown_label(quartet):
     with pytest.raises(ValueError):
-        quartet.path_edges("nope", quartet.leaf_vertex("a"))
+        quartet.path_vector(("a", "nope"))
+
+
+def test_sides_and_distances_match_oracles_on_small_shapes():
+    rng = random.Random(17)
+    for n in (3, 4, 5, 6):
+        for t in trees_on(n):
+            pairs = t.edges
+            labels = {t.leaf_vertex(x): x for x in t.leaves}
+            for eid, ends in pairs.items():
+                for v in ends:
+                    assert t.side(eid, v) == oracles.leaf_side(pairs, labels, eid, v)
+            weighting = {eid: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for eid in pairs}
+            raw = {ends: weighting[eid] for eid, ends in pairs.items()}
+            for c in lm.all_cords(t.leaves):
+                want = oracles.bfs_distances(raw, t.leaf_vertex(c[0]))[t.leaf_vertex(c[1])]
+                assert t.distance(weighting, c) == want
 
 
 def test_distance_unit_weights(quartet):
