@@ -189,11 +189,7 @@ def _cmd_bases(args):
 
 def _cmd_circuits(args):
     tree, _ = _load_tree(args)
-    bound = _max_leaves(args, 7)
-    if tree.n_leaves > bound:
-        raise ScaleBoundError(
-            f"{tree.n_leaves} leaves exceeds the circuit-enumeration bound of {bound}")
-    for c in matroid.circuits(tree, max_size=args.max_size):
+    for c in matroid.circuits(tree, max_size=args.max_size, max_leaves=_max_leaves(args, 7)):
         _emit(args, _cordset_text(c), {"circuit": _cordset_json(c)})
     return 0
 

@@ -66,7 +66,7 @@ def closure(tree, cords):
                      if space.contains(tree.path_vector(c)))
 
 
-def circuits(tree, max_size=None):
+def circuits(tree, max_size=None, max_leaves=7):
     """All minimal dependent cord sets of size up to ``max_size``.
 
     Depth-first walk over the independent sets of the sorted cords in index
@@ -74,7 +74,11 @@ def circuits(tree, max_size=None):
     residual carries its coordinates over the chosen set: it closes a
     circuit when its main residual vanishes and every coordinate is nonzero.
     Each circuit arises once; all are yielded by size, then sorted cords.
+    Refuses trees above ``max_leaves``.
     """
+    if tree.n_leaves > max_leaves:
+        raise ScaleBoundError(
+            f"{tree.n_leaves} leaves exceeds the circuit-enumeration bound of {max_leaves}")
     ncols = len(tree.edge_ids)
     if max_size is None:
         max_size = ncols + 1

@@ -206,10 +206,7 @@ def is_binary_matroid(tree, max_leaves=6):
     distinct circuits is a disjoint union of circuits; the first failing
     pair, if any, is reported.
     """
-    if tree.n_leaves > max_leaves:
-        raise ScaleBoundError(
-            f"{tree.n_leaves} leaves exceeds the circuit-enumeration bound of {max_leaves}")
-    circuit_list = list(matroid.circuits(tree))
+    circuit_list = list(matroid.circuits(tree, max_leaves=max_leaves))
     memo = {}
     for c1, c2 in itertools.combinations(circuit_list, 2):
         diff = c1 ^ c2

@@ -318,83 +318,34 @@ class XTree:
                 raise ValueError(f"unknown edge id {eid}")
             if not self.is_interior_edge(eid):
                 raise ValueError(f"edge {eid} is pendant; only interior edges can be collapsed")
-        parent = {v: v for v in self._adjacency}
-
-        def find(v):
-            while parent[v] != v:
-                parent[v] = parent[parent[v]]
-                v = parent[v]
-            return v
-
-        for eid in F:
-            u, v = tuple(self._edges[eid])
-            ru, rv = find(u), find(v)
-            if ru != rv:
-                # deterministic representative: the smaller by repr ordering
-                lo, hi = sorted((ru, rv), key=repr)
-                parent[hi] = lo
-        new_edges = {}
-        for eid, pair in self._edges.items():
-            if eid in F:
-                continue
-            u, v = tuple(pair)
-            new_edges[eid] = frozenset((find(u), find(v)))
-        return XTree(new_edges, self._leaf_vertex)
+        surviving = {eid: mask for eid, mask in zip(self._edge_ids, self._below) if eid not in F}
+        return _tree_from_splits(self._leaves, surviving)
 
     def restrict(self, labels):
         """Minimal subtree spanning the given leaves, degree-2 vertices suppressed.
 
         Returns ``(subtree, condensed)`` where ``condensed`` maps each new edge
-        id to the ordered tuple of original edge ids it replaces, so an edge
-        weighting of the full tree restricts by summation.
+        id to the increasing tuple of original edge ids it replaces: the edges
+        whose splits restrict to the same split of the kept leaves.  New ids
+        follow the chains' smallest original ids, and an edge weighting of the
+        full tree restricts by summation.
         """
         Y = set(labels)
         if not Y <= set(self._leaf_vertex):
             raise ValueError("labels are not a subset of the leaves")
         if len(Y) < 3:
             raise ValueError("a restriction needs at least 3 leaves")
-        keep_leaves = {self._leaf_vertex[x] for x in Y}
-        # prune: repeatedly strip degree-1 vertices that are not kept leaves
-        degree = {v: len(nbrs) for v, nbrs in self._adjacency.items()}
-        removed = set()
-        queue = [v for v in self._adjacency if degree[v] == 1 and v not in keep_leaves]
-        while queue:
-            v = queue.pop()
-            removed.add(v)
-            for w, _ in self._adjacency[v]:
-                if w in removed:
-                    continue
-                degree[w] -= 1
-                if degree[w] == 1 and w not in keep_leaves:
-                    queue.append(w)
-        # walk the Steiner tree, condensing chains through degree-2 vertices
-        def live_neighbors(v):
-            return [(w, eid) for w, eid in self._adjacency[v] if w not in removed]
-
-        branch = {v for v in self._adjacency
-                  if v not in removed and (v in keep_leaves or degree[v] >= 3)}
-        raw_edges = []  # (endpoint, endpoint, tuple of original edge ids)
-        seen_starts = set()
-        for v in branch:
-            for w, eid in live_neighbors(v):
-                if (v, eid) in seen_starts:
-                    continue
-                chain = [eid]
-                prev, cur = v, w
-                while cur not in branch:
-                    nxt = [(u, e) for u, e in live_neighbors(cur) if u != prev]
-                    prev, (cur, eid2) = cur, nxt[0]
-                    chain.append(eid2)
-                seen_starts.add((cur, chain[-1]))
-                raw_edges.append((v, cur, tuple(chain)))
-        raw_edges.sort(key=lambda t: min(t[2]))
-        new_edges = {}
-        condensed = {}
-        for new_id, (u, v, chain) in enumerate(raw_edges):
-            new_edges[new_id] = frozenset((u, v))
-            condensed[new_id] = chain
-        sub = XTree(new_edges, {x: self._leaf_vertex[x] for x in Y})
-        return sub, condensed
+        kept = [i for i, x in enumerate(self._leaves) if x in Y]
+        full = (1 << len(kept)) - 1
+        chains = {}   # restricted split, turned away from the first kept leaf -> edge ids
+        for eid, mask in zip(self._edge_ids, self._below):
+            split = sum((mask >> i & 1) << j for j, i in enumerate(kept))
+            if split & 1:
+                split ^= full
+            if split:
+                chains.setdefault(split, []).append(eid)
+        sub = _tree_from_splits(tuple(sorted(Y)), dict(enumerate(chains)))
+        return sub, {new_id: tuple(chain) for new_id, chain in enumerate(chains.values())}
 
 
 def restrict_weighting(weighting, condensed):
@@ -589,11 +540,37 @@ def tree_from_newick(text):
 # -- builders ----------------------------------------------------------------
 
 
+def _tree_from_splits(labels, splits):
+    """The X-tree on the sorted ``labels`` whose edge ``eid`` has split ``splits[eid]``.
+
+    A split is a bitmask over the labels of either side; it is turned to the
+    side without the first label, and each edge hangs below the smallest split
+    that strictly contains its own (the largest hangs below the first leaf).
+    Leaves are vertices 0..n-1 in label order and interior vertices follow by
+    increasing split size.  The constructor validates the result.
+    """
+    n = len(labels)
+    if n < 3:
+        raise ValueError("an X-tree needs at least 3 leaves")
+    full = (1 << n) - 1
+    order = sorted(((mask ^ full if mask & 1 else mask, eid) for eid, mask in splits.items()),
+                   key=lambda split: split[0].bit_count())
+    interior = itertools.count(n)
+    lower = {eid: next(interior) if mask & (mask - 1) else mask.bit_length() - 1
+             for mask, eid in order}
+    upper = {}
+    for i, (mask, eid) in enumerate(order):
+        # a later, so larger, split holding any leaf of this one contains it
+        leaf = mask & -mask
+        upper[eid] = next((lower[f] for m, f in order[i + 1:] if m & leaf), 0)
+    return XTree({eid: (lower[eid], upper[eid]) for eid in splits},
+                 {x: i for i, x in enumerate(labels)})
+
+
 def star_tree(labels):
     """The tree with a single interior vertex adjacent to every leaf."""
     labels = sorted(labels)
-    edges = {i: frozenset((i, len(labels))) for i in range(len(labels))}
-    return XTree(edges, {x: i for i, x in enumerate(labels)})
+    return _tree_from_splits(labels, {i: 1 << i for i in range(len(labels))})
 
 
 def quartet_tree(a, b, c, d):
@@ -601,15 +578,7 @@ def quartet_tree(a, b, c, d):
     labels = (a, b, c, d)
     if len(set(labels)) != 4:
         raise ValueError("need four distinct labels")
-    # vertices: 0..3 leaves in given order, 4 joins a,b; 5 joins c,d
-    edges = {
-        0: frozenset((0, 4)),
-        1: frozenset((1, 4)),
-        2: frozenset((2, 5)),
-        3: frozenset((3, 5)),
-        4: frozenset((4, 5)),
-    }
-    return XTree(edges, {a: 0, b: 1, c: 2, d: 3})
+    return caterpillar_tree(labels)   # pendant edges 0-3, and edge 4 splits ab|cd
 
 
 def caterpillar_tree(labels):
@@ -619,19 +588,11 @@ def caterpillar_tree(labels):
         if len(labels) == 3:
             return star_tree(labels)
         raise ValueError("need at least 3 labels")
-    k = len(labels)
-    # leaves 0..k-1, interior k..2k-3
-    edges = {}
-    eid = itertools.count()
-    interior = list(range(k, 2 * k - 2))
-    edges[next(eid)] = frozenset((0, interior[0]))
-    edges[next(eid)] = frozenset((1, interior[0]))
-    for i, leaf in enumerate(range(2, k - 1)):
-        edges[next(eid)] = frozenset((leaf, interior[i + 1]))
-    edges[next(eid)] = frozenset((k - 1, interior[-1]))
-    for u, v in zip(interior, interior[1:]):
-        edges[next(eid)] = frozenset((u, v))
-    return XTree(edges, {x: i for i, x in enumerate(labels)})
+    order = sorted(range(len(labels)), key=labels.__getitem__)
+    bits = [1 << order.index(i) for i in range(len(labels))]
+    # pendant edges first, then the path edges cutting off each longer prefix
+    path = list(itertools.accumulate(bits))[1:-2]
+    return _tree_from_splits(sorted(labels), dict(enumerate(bits + path)))
 
 
 # -- growth by leaf insertion ------------------------------------------------

@@ -191,6 +191,13 @@ def test_enumerate_trees_count(capsys):
     assert out.strip() == "26"
 
 
+def test_enumerate_trees_refuses_two_leaves(capsys):
+    code, out, err = run(capsys, "enumerate-trees", "--leaves", "a,b")
+    assert code == 2
+    assert out == ""
+    assert "an X-tree needs at least 3 leaves" in err
+
+
 def test_enumerate_trees_rejects_labels_newick_cannot_hold(capsys):
     for leaves, bad in (("a:1,b;c,d", "a:1"), ("a b,c,d", "a b")):
         code, out, err = run(capsys, "enumerate-trees", "--leaves", leaves)

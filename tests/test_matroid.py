@@ -105,6 +105,16 @@ def test_circuits_max_size_guard(quartet):
         list(matroid.circuits(quartet, max_size=len(quartet.edge_ids) + 2))
 
 
+def test_circuits_scale_bound_is_checked_before_max_size():
+    eight = lm.caterpillar_tree(letters(8))
+    with pytest.raises(lm.ScaleBoundError,
+                       match="8 leaves exceeds the circuit-enumeration bound of 7"):
+        next(iter(matroid.circuits(eight, max_size=len(eight.edge_ids) + 2)))
+    with pytest.raises(ValueError, match="never exceed"):
+        next(iter(matroid.circuits(eight, max_size=len(eight.edge_ids) + 2, max_leaves=8)))
+    assert next(iter(matroid.circuits(eight, max_size=4, max_leaves=8)))
+
+
 def test_circuits_match_minimal_dependent_set_oracle():
     for n in (3, 4, 5):
         for t in trees_on(n):

@@ -273,6 +273,24 @@ def test_contract_one_by_one_matches_batch():
             assert lm.are_equivalent(stepwise, batch)
 
 
+def test_contract_distances_match_zero_weight_oracle():
+    """Every shape with n <= 6 and every set F of one or two interior edges:
+    distances in the collapsed tree are the full tree's with weight 0 on F."""
+    rng = random.Random(4)
+    for n in range(4, 7):
+        for t in trees_on(n):
+            interior = t.interior_edge_ids
+            for F in [*itertools.combinations(interior, 1), *itertools.combinations(interior, 2)]:
+                collapsed = t.contract(F)
+                assert set(collapsed.edge_ids) == set(t.edge_ids) - set(F)
+                weighting = {eid: Fraction(rng.randint(1, 9), rng.randint(1, 4))
+                             for eid in collapsed.edge_ids}
+                raw = {ends: weighting.get(eid, Fraction(0)) for eid, ends in t.edges.items()}
+                for x, y in itertools.combinations(t.leaves, 2):
+                    want = oracles.bfs_distances(raw, t.leaf_vertex(x))[t.leaf_vertex(y)]
+                    assert collapsed.distance(weighting, (x, y)) == want
+
+
 def test_restrict_triple_is_star(quartet):
     sub, condensed = quartet.restrict({"a", "b", "c"})
     assert lm.are_equivalent(sub, lm.star_tree("abc"))
@@ -299,13 +317,30 @@ def test_restrict_rejects_bad_input(cat5):
         cat5.restrict({"a", "b", "zz"})
 
 
-def test_restrict_weighting_sums_chains(cat5):
+def test_restrict_weighting_sums_chains():
+    """Every shape with n <= 6 and every subset of >= 3 leaves: the restricted
+    weighting gives the full tree's breadth-first distances, and the chains
+    are disjoint and cover exactly the edges on paths between kept leaves."""
     rng = random.Random(3)
-    weighting = {eid: Fraction(rng.randint(1, 5)) for eid in cat5.edge_ids}
-    sub, condensed = cat5.restrict({"a", "c", "e"})
-    induced = lm.restrict_weighting(weighting, condensed)
-    for c in lm.all_cords("ace"):
-        assert sub.distance(induced, c) == cat5.distance(weighting, c)
+    for n in range(3, 7):
+        for t in trees_on(n):
+            pairs = t.edges
+            labels = {t.leaf_vertex(x): x for x in t.leaves}
+            sides = {eid: oracles.leaf_side(pairs, labels, eid, next(iter(ends)))
+                     for eid, ends in pairs.items()}
+            weighting = {eid: Fraction(rng.randint(1, 9), rng.randint(1, 4)) for eid in pairs}
+            raw = {ends: weighting[eid] for eid, ends in pairs.items()}
+            dist = {x: oracles.bfs_distances(raw, t.leaf_vertex(x)) for x in t.leaves}
+            for k in range(3, n + 1):
+                for ys in itertools.combinations(t.leaves, k):
+                    sub, condensed = t.restrict(ys)
+                    induced = lm.restrict_weighting(weighting, condensed)
+                    for x, y in itertools.combinations(ys, 2):
+                        assert sub.distance(induced, (x, y)) == dist[x][t.leaf_vertex(y)]
+                    used = [eid for chain in condensed.values() for eid in chain]
+                    spanned = {eid for eid, side in sides.items() if 0 < len(side & set(ys)) < k}
+                    assert len(used) == len(set(used))
+                    assert set(used) == spanned
 
 
 def test_restrict_then_restrict_matches_intersection():
