@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import ScaleBoundError
 
@@ -106,6 +107,31 @@ class RowSpace:
         """Drop the most recently added pivot row (for DFS backtracking)."""
         self._rows.pop()
         self._pivots.pop()
+
+    def annihilator(self):
+        """The nonzero functional that vanishes on every stored row.
+
+        Valid when the main part has full rank and the tail is one wide, so
+        the stored rows span a hyperplane of the row width (else
+        ValueError).  Back-substitution from the last row to the first: a
+        row is zero at every earlier pivot, so scaling the functional by its
+        pivot entry and setting the pivot coordinate to minus its product
+        with the row clears it without disturbing the rows after it.  The
+        tail coordinate ends as the product of the pivots; a row lies in the
+        span of the stored rows iff its product with the functional is 0.
+        """
+        if self.width != self.ncols + 1:
+            raise ValueError(f"annihilator needs a one-wide tail, not {self.width - self.ncols}")
+        if len(self._rows) != self.ncols:
+            raise ValueError(f"annihilator needs full rank {self.ncols}, not {len(self._rows)}")
+        n = [0] * self.ncols + [1]
+        for r, p in zip(reversed(self._rows), reversed(self._pivots)):
+            s = sum(map(mul, r, n))
+            a = r[p]
+            if a != 1:
+                n = [a * y for y in n]
+            n[p] = -s
+        return n
 
 
 def rank(matrix):

@@ -81,7 +81,9 @@ def pointed_covers(tree, leaf):
     Such a cover joins the anchor to every other leaf, and adds, for each
     interior vertex, one cord with ends in the two components away from the
     anchor.  Every emitted set has exactly 2n-3 cords and is a basis of the
-    cord matroid.
+    cord matroid.  The order depends on the splits alone, not on vertex
+    numbers: vertices by their sorted leaves away from the anchor, the two
+    sides at a vertex by their sorted leaves.
     """
     if not tree.is_binary():
         raise ValueError("pointed covers are defined for binary trees")
@@ -89,20 +91,16 @@ def pointed_covers(tree, leaf):
     tree.leaf_vertex(anchor)  # ValueError for a label that is not a leaf
     pendant = frozenset(cord(anchor, other) for other in tree.leaves if other != anchor)
     per_vertex = []
-    for v in sorted(tree.interior_vertices, key=repr):
-        sides = []
-        anchor_side_found = False
-        for w, eid in sorted(tree.neighbors(v), key=lambda p: repr(p)):
-            leaves_here = tree.side(eid, w)
-            if anchor in leaves_here:
-                anchor_side_found = True
-            else:
-                sides.append(sorted(leaves_here))
-        if not anchor_side_found or len(sides) != 2:
+    for v in tree.interior_vertices:
+        sides = sorted(sorted(tree.side(eid, w)) for w, eid in tree.neighbors(v))
+        sides = [side for side in sides if anchor not in side]
+        if len(sides) != 2:
             raise AssertionError("binary tree should split into anchor side plus two others")
-        per_vertex.append([cord(a, b) for a in sides[0] for b in sides[1]])
+        per_vertex.append((sorted(sides[0] + sides[1]),
+                           [cord(a, b) for a in sides[0] for b in sides[1]]))
+    per_vertex.sort()
     expected = 2 * tree.n_leaves - 3
-    for picks in itertools.product(*per_vertex):
+    for picks in itertools.product(*(choices for _, choices in per_vertex)):
         cover = pendant | frozenset(picks)
         if len(cover) != expected:
             raise AssertionError("pointed cover cardinality broke")

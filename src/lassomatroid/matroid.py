@@ -11,6 +11,7 @@ the bases are the tight edge-weight lassos.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 
 from .errors import ScaleBoundError
 from .exact import RowSpace
@@ -112,19 +113,30 @@ def circuits(tree, max_size=None, max_leaves=7):
 def _basis_dfs(rows, tail=0):
     """Depth-first search for the bases among ``rows``, which must span.
 
-    A row holds main entries, then ``tail`` carried ones.  At each basis the
+    A row holds main entries, then ``tail`` carried ones.  One backward
+    pass first records ``reach[i]``, the rank of ``rows[i:]``; a prefix
+    stops at the first ``i`` whose ``reach[i]`` is below the number of rows
+    it still lacks, since no basis lies past that point.  At each basis the
     search yields its chosen indices (a list, increasing) and its live
     ``RowSpace``, both valid only until the generator is resumed.
     """
     ncols = len(rows[0]) - tail
+    suffix = RowSpace(ncols, tail=tail)
+    reach = [0] * len(rows)
+    for i in range(len(rows) - 1, -1, -1):
+        suffix.add(rows[i])
+        reach[i] = suffix.rank
     space = RowSpace(ncols, tail=tail)
     chosen = []
 
     def extend(start):
-        if len(chosen) == ncols:
+        need = ncols - len(chosen)
+        if not need:
             yield chosen, space
             return
-        for i in range(start, len(rows) - (ncols - len(chosen)) + 1):  # a basis still fits
+        for i in range(start, len(rows)):
+            if reach[i] < need:
+                break
             if space.add(rows[i]):
                 chosen.append(i)
                 yield from extend(i + 1)
@@ -178,9 +190,9 @@ def contraction_extends(tree, f, base_cords, c):
     """Whether a basis of the collapsed tree extends by ``c`` to one of the tree.
 
     ``base_cords`` must be a basis of ``tree.contract({f})`` (else ValueError).
-    Over it the tail residual of ``c`` is, up to a nonzero factor, the
-    f-incidence of ``c`` minus the coordinate-weighted f-incidence of the
-    basis cords; the extension is a basis of the tree iff it is nonzero.
+    Its collapsed rows with their f-tails span a hyperplane; the extension
+    is a basis of the tree iff the row of ``c`` leaves it, i.e. iff its
+    product with the hyperplane's annihilator is nonzero.
     """
     *rows, row = _collapse_rows(tree, f, [*sorted(base_cords), c])
     space = RowSpace(len(row) - 1, tail=1)
@@ -189,16 +201,17 @@ def contraction_extends(tree, f, base_cords, c):
             raise ValueError("cord set is not independent in the collapsed tree")
     if space.rank != space.ncols:
         raise ValueError("cord set does not span the collapsed tree")
-    return space.reduce(row)[-1] != 0
+    return sum(map(mul, row, space.annihilator())) != 0
 
 
 def contraction_bases(tree, f, max_leaves=7):
     """Bases of the tree, generated from the bases of the tree with ``f`` collapsed.
 
     The basis search runs on the collapsed tree's rows with their f-tails
-    (see ``contraction_extends``).  At each collapsed basis every other cord
-    is reduced once against the search's own space and joins when its tail
-    residual is nonzero, each result once; together they are ``bases(tree)``.
+    (see ``contraction_extends``).  At each collapsed basis the search's own
+    space gives the annihilator of its rows once; every other cord joins
+    when its row has a nonzero product with it, each result once.  Together
+    they are ``bases(tree)``.
     """
     if not tree.is_interior_edge(f):
         raise ValueError(f"edge {f} is pendant; collapse needs an interior edge")
@@ -210,8 +223,9 @@ def contraction_bases(tree, f, max_leaves=7):
     seen = set()
     for chosen, space in _basis_dfs(rows, tail=1):
         base = [cords[i] for i in chosen]
+        functional = space.annihilator()
         for i, row in enumerate(rows):
-            if i not in chosen and space.reduce(row)[-1]:
+            if i not in chosen and sum(map(mul, row, functional)):
                 extended = frozenset([*base, cords[i]])
                 if extended not in seen:
                     seen.add(extended)

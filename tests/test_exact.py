@@ -119,6 +119,40 @@ def test_rowspace_tail_rides_along_and_width_is_checked():
         space.contains([1, 0, 0, 0])
 
 
+def test_rowspace_annihilator_vanishes_on_the_rows_and_spans_the_kernel():
+    rng = random.Random(5)
+    cases = 0
+    while cases < 300:
+        k = rng.randint(1, 7)
+        rows = [[rng.randint(-3, 3) for _ in range(k + 1)] for _ in range(k)]
+        if rank([row[:k] for row in rows]) < k:
+            continue
+        cases += 1
+        space = RowSpace(k, tail=1)
+        for row in rows:
+            assert space.add(row)
+        n = space.annihilator()
+        assert n[-1] != 0
+        for row in rows:
+            assert sum(x * y for x, y in zip(row, n)) == 0
+        (kernel,) = kernel_basis(rows)
+        scale = Fraction(n[-1]) / kernel[-1]
+        assert [scale * x for x in kernel] == n
+
+
+def test_rowspace_annihilator_refuses_outside_its_preconditions():
+    no_tail = RowSpace(2)
+    no_tail.add([1, 0])
+    no_tail.add([0, 1])
+    wide_tail = RowSpace(1, tail=2)
+    wide_tail.add([1, 2, 3])
+    short = RowSpace(2, tail=1)
+    short.add([1, 1, 0])
+    for space in (no_tail, wide_tail, short, RowSpace(3, tail=1)):
+        with pytest.raises(ValueError):
+            space.annihilator()
+
+
 # -- feasibility --------------------------------------------------------------
 
 

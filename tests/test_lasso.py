@@ -73,6 +73,24 @@ def test_pointed_cover_intersections_force_caterpillar_ends():
                         assert path[t.edge_column[eid]] == 1
 
 
+def test_pointed_cover_order_depends_on_the_splits_alone():
+    def sequence(t, x, k=300):
+        return [sorted(c) for c in itertools.islice(lasso.pointed_covers(t, x), k)]
+
+    six = lm.tree_from_newick("((a,b),(c,d),(e,f));")
+    rerooted = lm.tree_from_newick("(e,f,((c,d),(a,b)));")
+    restricted, _ = lm.tree_from_newick("((a,b),(c,d),((e,f),g));").restrict(set("abcdef"))
+    # twelve leaves: ten interior vertices, numbered differently in each build
+    big = lm.tree_from_newick("(((i,j),(k,l)),((a,b),(c,d)),((e,f),(g,h)));")
+    big_restricted, _ = lm.tree_from_newick(
+        "(((a,b),(c,d)),((e,f),(g,h)),((i,j),((k,l),(m,n))));").restrict(set("abcdefghijkl"))
+    assert len(big.interior_vertices) == 10
+    for t, same in ((six, rerooted), (six, restricted), (big, big_restricted)):
+        assert t.equivalent_to(same) and t.interior_vertices != same.interior_vertices
+        for x in t.leaves:
+            assert sequence(t, x) == sequence(same, x)
+
+
 # -- the topological decider ------------------------------------------------------
 
 

@@ -145,6 +145,21 @@ def test_bases_counts(quartet, star3, star4):
     assert list(matroid.bases(star3)) == [lm.all_cords("abc")]
 
 
+def test_bases_sequence_matches_combination_oracle():
+    # the pruned search yields exactly the spanning combinations, in index order
+    for n in (3, 4, 5):
+        for t in trees_on(n):
+            cs = sorted(lm.all_cords(t.leaves))
+            m = len(t.edge_ids)
+            expected = [frozenset(combo) for combo in itertools.combinations(cs, m)
+                        if oracles.gauss_jordan_rank([t.path_vector(c) for c in combo]) == m]
+            assert list(matroid.bases(t)) == expected
+            for f in t.interior_edge_ids:
+                rebuilt = list(matroid.contraction_bases(t, f))
+                assert len(rebuilt) == len(set(rebuilt))
+                assert set(rebuilt) == set(expected)
+
+
 def test_bases_scale_guard():
     with pytest.raises(lm.ScaleBoundError):
         next(iter(matroid.bases(lm.star_tree(letters(8)))))
