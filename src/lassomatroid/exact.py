@@ -2,135 +2,243 @@
 
 Everything here is exact: scalars are integers or ``fractions.Fraction``.
 Every row elimination (rank, coordinates, kernels, the equality step of
-feasibility) runs through ``RowSpace`` and its fraction-free
-cross-multiplication; the feasibility decider then runs Fourier-Motzkin
-elimination on primitive integer rows, with strict/weak flags carried
-through each step.  There is no floating point anywhere.
+feasibility) runs through ``RowSpace``.  It stores each row as one packed
+Python int, a signed W-bit field per column, and eliminates by incremental
+Bareiss steps: each step is a few whole-int operations and divides exactly
+by the previous pivot, so every stored entry is a minor of the input rows
+and Hadamard's bound on those minors fixes W when the space is built.  The
+feasibility decider substitutes its equalities out of the inequalities
+through the same kernel, which scales each inequality by a positive factor,
+then runs Fourier-Motzkin elimination on primitive integer lists, with
+strict/weak flags carried through each step.  There is no floating point
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from itertools import repeat
+from math import gcd, isqrt, lcm
 from operator import mul
+from struct import Struct
 
 from .errors import ScaleBoundError
-
-# Entries this large trigger a gcd renormalisation of the row; keeps the
-# fraction-free elimination from growing integers without bound.
-_GROWTH_LIMIT = 1 << 64
 
 
 def _integerize(row):
     """Scale a rational row by a positive factor to an integer list.
 
     Rank, span and the solutions and direction of an inequality are all
-    invariant under it.  An integer row is only copied: no Fraction is built.
+    invariant under it.  An integer row is returned as it is: no Fraction is
+    built.
     """
-    if all(isinstance(x, int) for x in row):
-        return list(row)
+    if all(map(isinstance, row, repeat(int))):
+        return row
     row = [Fraction(x) for x in row]
     denom = lcm(*(x.denominator for x in row))
     return [int(x * denom) for x in row]
+
+
+def _entry_bound(rows):
+    """The largest absolute entry of integer rows, at least 1."""
+    values = set().union(*rows)
+    return max(1, max(values, default=0), -min(values, default=0))
 
 
 class RowSpace:
     """Incrementally built row space: the one exact elimination kernel.
 
     A row holds ``ncols`` main entries followed by ``tail`` carried entries.
-    Rows are reduced against the stored echelon by cross-multiplication, so
-    integer rows stay integer; pivots are chosen among the main columns
-    only, and the tail rides along through every step.  A tail therefore
-    records what a residual is made of: with identity tails it holds the
-    combination of inserted rows, with a right-hand side it holds the
-    reduced constant.  ``add`` appends a new pivot row when the rank of the
-    main part grows and ``pop`` undoes it for depth-first backtracking.
-    Rows are used as given, not copied; a row of any other length than
-    ``ncols + tail`` is refused with ValueError.
+    Pivots are chosen among the main columns only, and the tail rides along
+    through every step.  A tail therefore records what a residual is made
+    of: with identity tails it holds the combination of inserted rows, with
+    a right-hand side it holds the reduced constant.  ``add`` appends a new
+    pivot row when the rank of the main part grows and ``pop`` undoes it for
+    depth-first backtracking.
+
+    Packed layout.  A row is the int ``sum(e[j] << W*j)``: column ``j``
+    (main columns first, then the tail) is a signed W-bit field.  Packing
+    is linear, so ``a*x - c*r`` on two packed rows is the packed row of the
+    entrywise combination, whatever carries pass between fields.  A field is
+    read after adding a bias of ``2**(W-1)`` to every field, the lowest
+    nonzero column is the lowest set bit over W, and the main part is zero
+    exactly when the low ``W*ncols`` bits are.
+
+    Bareiss divisor.  Stored rows ``r_1 .. r_k`` have pivot entries
+    ``a_1 .. a_k``, and ``r_i`` is zero at every earlier pivot.  A row is
+    reduced by ``x <- (a_i*x - x[p_i]*r_i) / d`` for each ``i`` whose pivot
+    entry in ``x`` is nonzero, where ``d`` is the pivot entry of the last
+    row applied (1 before any); the division is exact (Bareiss 1968,
+    "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22).  ``reduce`` returns the residual with
+    that divisor, and a row joins the space scaled by ``a_k / d``, which
+    makes it the full Bareiss row.  Every entry of a residual or a stored
+    row is then a minor of the inserted rows.
+
+    Field width.  A minor of order at most ``m = min(ncols + 1, ncols +
+    tail)`` of rows whose entries are bounded by ``bound`` is at most
+    ``bound**m * m**(m/2)`` in absolute value (Hadamard), so W is one bit
+    wider than that bound.  ``pack`` refuses a row of the wrong length or
+    with an entry beyond ``bound`` with ValueError, so no field is ever
+    taken modulo ``2**W``.
     """
 
-    def __init__(self, ncols, tail=0):
+    def __init__(self, ncols, tail=0, bound=1):
+        width = ncols + tail
+        m = min(ncols + 1, width)
+        bits = (bound ** m * (isqrt(m ** m) + 1)).bit_length() + 1
+        # Whole bytes, and up to 64 bits a power of two, so that pack and
+        # unpack convert every field with one struct call.
+        w = max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else -(-bits // 8) * 8
         self.ncols = ncols
-        self.width = ncols + tail
-        self._rows = []
-        self._pivots = []
+        self.width = width
+        self.bound = bound
+        self._w = w
+        self._bytes = w // 8 * width
+        self._struct = Struct(f"<{width}{'bhiq'[(w // 8).bit_length() - 1]}") if w <= 64 else None
+        self._field = (1 << w) - 1
+        self._half = 1 << (w - 1)
+        self._bias = int.from_bytes(self._half.to_bytes(w // 8, "little") * width, "little")
+        self._main = (1 << (w * ncols)) - 1
+        # Per stored row: [packed row, bit offset s of its pivot field, the
+        # mask of the bits below s + W, pivot entry a, a * bias, then k and q
+        # with a == q * 2**k and q odd, then its entries once the
+        # annihilator has unpacked them].
+        self._stack = []
 
     @property
     def rank(self):
-        return len(self._rows)
+        return len(self._stack)
 
     @property
     def pivots(self):
         """The pivot column of each stored row, in insertion order."""
-        return tuple(self._pivots)
+        return tuple(entry[1] // self._w for entry in self._stack)
 
-    def reduce(self, row):
-        """Residual of ``row`` (main entries, then tail) over the stored rows.
+    def pack(self, row):
+        """The packed int of a row of ``ncols + tail`` integer entries."""
+        if row:
+            low, high = min(row), max(row)
+            if high > self.bound or low < -self.bound:
+                raise ValueError(f"row entry beyond this space's bound of {self.bound}")
+            if self._struct is None and low >= 0 and high < 256 and len(row) == self.width:
+                # Wide fields: entries that fit a byte go to their field's first byte.
+                data = bytearray(self._bytes)
+                data[::self._w // 8] = bytes(row)
+                return int.from_bytes(data, "little")
+        return self._pack(row)
 
-        The residual is zero at every pivot column, and equals a nonzero
-        multiple of ``row`` minus a combination of the stored rows.
+    def _pack(self, row):
+        """``pack`` for a row already known to lie within the bound.
+
+        Fields in two's complement, each with its top bit flipped, are the
+        packed row plus the bias, since ``e + 2**(W-1)`` never borrows.
         """
         if len(row) != self.width:
             raise ValueError(f"row of length {len(row)}, expected {self.width}")
-        for r, p in zip(self._rows, self._pivots):
-            c = row[p]
-            if c:
-                a = r[p]
-                row = [a * x - c * y for x, y in zip(row, r)]
-        return row
+        if self._struct is not None:
+            return (int.from_bytes(self._struct.pack(*row), "little") ^ self._bias) - self._bias
+        x, w = 0, self._w
+        for e in reversed(row):
+            x = (x << w) + e
+        return x
+
+    def unpack(self, x):
+        """The entries of a packed row or residual, main columns first."""
+        data = ((x + self._bias) ^ self._bias).to_bytes(self._bytes, "little")
+        if self._struct is not None:
+            return list(self._struct.unpack(data))
+        k = self._w // 8
+        return [int.from_bytes(data[i:i + k], "little", signed=True)
+                for i in range(0, self._bytes, k)]
+
+    def reduce(self, row):
+        """Residual of ``row`` over the stored rows, with its Bareiss divisor.
+
+        ``row`` is a sequence of entries or a row packed by ``pack``.
+        Returns ``(residual, divisor)``: the packed residual is zero at every
+        pivot column and equals a nonzero multiple of ``row`` minus a
+        combination of the stored rows; pass both to ``add`` to insert it.
+        """
+        x = row if type(row) is int else self.pack(row)
+        # Reduce the biased residual x + bias, whose every field is
+        # nonnegative, so that a field is read from the low bits alone.  The
+        # divisor d = 2**k * q divides by a shift, then by its odd part.
+        bias, half = self._bias, self._half
+        x += bias
+        d, k, q = 1, 0, 1
+        for r, s, low, a, abias, ak, aq, _ in self._stack:
+            c = (x & low) >> s
+            if c != half:
+                x = a * x - (c - half) * r - abias
+                if k:
+                    x >>= k
+                if q != 1:
+                    x //= q
+                x += bias
+                d, k, q = a, ak, aq
+        return x - bias, d
 
     def contains(self, row):
         """Whether the main part of ``row`` lies in the span of the stored rows."""
-        return not any(self.reduce(row)[:self.ncols])
+        return not self.reduce(row)[0] & self._main
 
-    def add(self, row):
+    def add(self, row, divisor=None):
         """Insert a row; returns True when it enlarged the span.
 
-        A stored integer row whose entries pass ``_GROWTH_LIMIT`` is divided
-        by its gcd, tail included, so later reductions stay small.
+        ``row`` is a sequence of entries or a packed row, or else a residual
+        returned by ``reduce`` since the last change to the space, passed
+        with its ``divisor``.
         """
-        row = self.reduce(row)
-        for p in range(self.ncols):
-            if row[p]:
-                if (max(row) > _GROWTH_LIMIT or min(row) < -_GROWTH_LIMIT) \
-                        and all(isinstance(x, int) for x in row):
-                    g = 0
-                    for x in row:
-                        g = gcd(g, x)
-                    row = [x // g for x in row]
-                self._rows.append(row)
-                self._pivots.append(p)
-                return True
-        return False
+        if divisor is None:
+            row, divisor = self.reduce(row)
+        if not row & self._main:
+            return False
+        stack = self._stack
+        last = stack[-1][3] if stack else 1
+        if divisor != last:
+            row = row * last // divisor
+        s = (row & -row).bit_length() - 1
+        s -= s % self._w
+        lead = ((row >> s) + self._half & self._field) - self._half
+        k = (lead & -lead).bit_length() - 1
+        stack.append([row, s, (1 << (s + self._w)) - 1, lead, lead * self._bias,
+                      k, lead >> k, None])
+        return True
 
     def pop(self):
         """Drop the most recently added pivot row (for DFS backtracking)."""
-        self._rows.pop()
-        self._pivots.pop()
+        self._stack.pop()
 
     def annihilator(self):
         """The nonzero functional that vanishes on every stored row.
 
         Valid when the main part has full rank and the tail is one wide, so
         the stored rows span a hyperplane of the row width (else
-        ValueError).  Back-substitution from the last row to the first: a
-        row is zero at every earlier pivot, so scaling the functional by its
-        pivot entry and setting the pivot coordinate to minus its product
-        with the row clears it without disturbing the rows after it.  The
-        tail coordinate ends as the product of the pivots; a row lies in the
-        span of the stored rows iff its product with the functional is 0.
+        ValueError).  The tail coordinate is the last pivot entry, which is
+        the main part's determinant up to sign, so by Cramer's rule every
+        other coordinate is an integer minor.  Back-substitution from the
+        last row to the first solves for each row's pivot coordinate by an
+        exact division, since a row is zero at every earlier pivot; the last
+        row is zero at every main column but its pivot.  A stored row's
+        entries are unpacked once and kept while it stays, so a depth-first
+        search that changes only its last rows unpacks little.  A row lies
+        in the span of the stored rows iff its product with the functional
+        is 0.
         """
         if self.width != self.ncols + 1:
             raise ValueError(f"annihilator needs a one-wide tail, not {self.width - self.ncols}")
-        if len(self._rows) != self.ncols:
-            raise ValueError(f"annihilator needs full rank {self.ncols}, not {len(self._rows)}")
-        n = [0] * self.ncols + [1]
-        for r, p in zip(reversed(self._rows), reversed(self._pivots)):
-            s = sum(map(mul, r, n))
-            a = r[p]
-            if a != 1:
-                n = [a * y for y in n]
-            n[p] = -s
+        if len(self._stack) != self.ncols:
+            raise ValueError(f"annihilator needs full rank {self.ncols}, not {len(self._stack)}")
+        w = self._w
+        x, s, _, a = self._stack[-1][:4]
+        n = [0] * self.width
+        n[-1] = a
+        n[s // w] = self._half - ((x + self._bias) >> (w * self.ncols) & self._field)
+        for entry in self._stack[-2::-1]:
+            if entry[7] is None:
+                entry[7] = self.unpack(entry[0])
+            n[entry[1] // w] = -sum(map(mul, entry[7], n)) // entry[3]
         return n
 
 
@@ -139,7 +247,7 @@ def rank(matrix):
     rows = [_integerize(row) for row in matrix]
     if not rows:
         return 0
-    space = RowSpace(len(rows[0]))
+    space = RowSpace(len(rows[0]), bound=_entry_bound(rows))
     for row in rows:
         space.add(row)
     return space.rank
@@ -160,15 +268,20 @@ def solve_coordinates(basis_rows, target):
     the target's residual ``s * target + sum(t_i * row_i)`` reads off the
     coordinates ``-t_i / s`` once its main part vanishes.
     """
-    rows = [list(row) for row in basis_rows]
-    if not rows:
+    if not basis_rows:
         return None if any(target) else ()
+    # One common positive factor turns every entry into an integer and
+    # leaves the coordinates unchanged.
+    *rows, target = [list(row) for row in basis_rows] + [list(target)]
+    if not all(isinstance(x, int) for row in [*rows, target] for x in row):
+        denom = lcm(*(Fraction(x).denominator for row in [*rows, target] for x in row))
+        *rows, target = [[int(Fraction(x) * denom) for x in row] for row in [*rows, target]]
     k = len(rows)
-    space = RowSpace(len(rows[0]), tail=k + 1)
+    space = RowSpace(len(rows[0]), tail=k + 1, bound=_entry_bound([*rows, target]))
     for i, row in enumerate(rows):
         if not space.add(row + _unit(k + 1, i)):
             raise ValueError("basis rows are rank-deficient")
-    res = space.reduce(list(target) + _unit(k + 1, k))
+    res = space.unpack(space.reduce(target + _unit(k + 1, k))[0])
     if any(res[:space.ncols]):
         return None
     s = res[-1]
@@ -187,12 +300,12 @@ def kernel_basis(matrix):
     if not rows:
         return []
     ncols = len(rows[0])
-    space = RowSpace(len(rows), tail=ncols)
+    space = RowSpace(len(rows), tail=ncols, bound=_entry_bound(rows))
     basis = []
     for j, column in enumerate(zip(*rows)):
-        res = space.reduce(list(column) + _unit(ncols, j))
-        if not space.add(res):
-            tail = res[len(rows):]
+        res, divisor = space.reduce(list(column) + _unit(ncols, j))
+        if not space.add(res, divisor):
+            tail = space.unpack(res)[len(rows):]
             basis.append(tuple(Fraction(x, tail[j]) for x in tail))
     return basis
 
@@ -206,18 +319,20 @@ class LinearSystem:
 
     Each ``(row, rhs)`` pair is stored once, as the integer list
     ``[*row, rhs]`` scaled by a positive factor, which keeps the solutions
-    and the direction and strictness of every inequality.
+    and the direction and strictness of every inequality.  ``bound`` is the
+    largest absolute entry of those lists (at least 1).
     """
 
     def __init__(self, equalities=(), strict_inequalities=(), weak_inequalities=()):
         self.equalities = [_integerize([*row, rhs]) for row, rhs in equalities]
         self.strict_inequalities = [_integerize([*row, rhs]) for row, rhs in strict_inequalities]
         self.weak_inequalities = [_integerize([*row, rhs]) for row, rhs in weak_inequalities]
-        widths = {len(row) for row in
-                  self.equalities + self.strict_inequalities + self.weak_inequalities}
+        rows = self.equalities + self.strict_inequalities + self.weak_inequalities
+        widths = {len(row) for row in rows}
         if len(widths) > 1:
             raise ValueError("constraints disagree on variable count")
         self.nvars = widths.pop() - 1 if widths else 0
+        self.bound = _entry_bound(rows)
 
 
 # One Fourier-Motzkin step may build at most this many candidate
@@ -257,7 +372,8 @@ def _settle(ineqs, nvars):
 def feasible(system, max_variables=24):
     """Exact decision of whether the system has a solution over the rationals.
 
-    Equalities are eliminated first by substitution; the remaining variables
+    Equalities are eliminated first by substitution through ``RowSpace``,
+    which scales each inequality by a positive factor; the remaining variables
     are eliminated in ascending index order by Fourier-Motzkin, combining a
     lower and an upper bound into a strict inequality whenever either side
     is strict.  All arithmetic is on integers, and every inequality is kept
@@ -270,24 +386,30 @@ def feasible(system, max_variables=24):
         raise ScaleBoundError(f"{nvars} variables exceeds the bound of {max_variables}")
 
     # Echelon of the equalities [row | rhs]; a row that reduces to 0 = rhs
-    # with rhs nonzero is a contradiction.  Pivot entries are made positive,
-    # so reducing an inequality [row | rhs] against the echelon scales it by
-    # a positive factor and never flips its direction.
-    eqs = RowSpace(nvars, tail=1)
+    # with rhs nonzero is a contradiction.  A residual is its row times the
+    # Bareiss divisor minus a combination of the equalities, so substituting
+    # the pivot variables out of an inequality [row | rhs] and negating the
+    # residual when the divisor is negative scales the inequality by a
+    # positive factor.  The system's bound covers every row, so none needs
+    # checking, and a row that is zero at every pivot column is its own
+    # residual.
+    eqs = RowSpace(nvars, tail=1, bound=system.bound)
     for row in system.equalities:
-        res = eqs.reduce(row)
-        lead = next((x for x in res[:nvars] if x), None)
-        if lead is None:
-            if res[-1]:
-                return False
-            continue
-        eqs.add([-x for x in res] if lead < 0 else res)
+        res, divisor = eqs.reduce(eqs._pack(row))
+        if not eqs.add(res, divisor) and res:
+            return False
+    pivot_cols = eqs.pivots
 
-    # Substitute the pivot variables out of the inequalities.
-    ineqs = [(_primitive(eqs.reduce(row)), True) for row in system.strict_inequalities]
-    ineqs += [(_primitive(eqs.reduce(row)), False) for row in system.weak_inequalities]
+    def substitute(row):
+        if any(map(row.__getitem__, pivot_cols)):
+            res, divisor = eqs.reduce(eqs._pack(row))
+            row = eqs.unpack(-res if divisor < 0 else res)
+        return _primitive(row)
+
+    ineqs = [(substitute(row), True) for row in system.strict_inequalities]
+    ineqs += [(substitute(row), False) for row in system.weak_inequalities]
     ineqs = _settle(ineqs, nvars)
-    pivot_cols = set(eqs.pivots)
+    pivot_cols = set(pivot_cols)
 
     # Fourier-Motzkin on the remaining variables.
     for var in range(nvars):
@@ -308,7 +430,8 @@ def feasible(system, max_variables=24):
         if candidates > _FM_ROW_LIMIT:
             raise ScaleBoundError(
                 f"eliminating variable {var} builds {candidates} inequalities, "
-                f"above the Fourier-Motzkin limit of {_FM_ROW_LIMIT}")
+                f"above the Fourier-Motzkin limit of {_FM_ROW_LIMIT}; "
+                "no --max-leaves value lifts this limit")
         for lrow, lstrict in lowers:
             lc = lrow[var]
             for urow, ustrict in uppers:

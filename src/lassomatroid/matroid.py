@@ -88,21 +88,22 @@ def circuits(tree, max_size=None, max_leaves=7):
     if max_size < 1:
         return
     cords = sorted(all_cords(tree.leaves))
-    rows = [[(*tree.path_vector(c), *[0] * depth, 1, *[0] * (max_size - depth - 1))
-             for c in cords] for depth in range(max_size)]
     space = RowSpace(ncols, tail=max_size)
+    zeros = (0,) * max_size
+    rows = [space.pack((*tree.path_vector(c), *zeros)) for c in cords]
+    units = [space.pack((0,) * (ncols + depth) + (1,) + zeros[depth + 1:])
+             for depth in range(max_size)]
     found = []
 
     def walk(start, chosen):
         depth = len(chosen)
         for j in range(start, len(cords)):
-            residual = space.reduce(rows[depth][j])
-            if any(residual[:ncols]):
+            residual, divisor = space.reduce(rows[j] + units[depth])
+            if space.add(residual, divisor):
                 if depth + 1 < max_size:
-                    space.add(residual)
                     walk(j + 1, (*chosen, j))
-                    space.pop()
-            elif all(residual[ncols:ncols + depth]):
+                space.pop()
+            elif all(space.unpack(residual)[ncols:ncols + depth]):
                 found.append((depth + 1, (*chosen, j)))
 
     walk(0, ())
@@ -121,12 +122,13 @@ def _basis_dfs(rows, tail=0):
     ``RowSpace``, both valid only until the generator is resumed.
     """
     ncols = len(rows[0]) - tail
+    space = RowSpace(ncols, tail=tail)
+    rows = [space.pack(row) for row in rows]
     suffix = RowSpace(ncols, tail=tail)
     reach = [0] * len(rows)
     for i in range(len(rows) - 1, -1, -1):
         suffix.add(rows[i])
         reach[i] = suffix.rank
-    space = RowSpace(ncols, tail=tail)
     chosen = []
 
     def extend(start):
@@ -170,11 +172,12 @@ def coloops(tree):
     basis, used = [], set()
     for c in sorted(all_cords(tree.leaves)):
         k = len(basis)
-        residual = space.reduce([*tree.path_vector(c), *(int(i == k) for i in range(m))])
-        if space.add(residual):
+        residual, divisor = space.reduce([*tree.path_vector(c), *(int(i == k) for i in range(m))])
+        if space.add(residual, divisor):
             basis.append(c)
         else:
-            used.update(i for i in range(k) if residual[m + i])
+            tail = space.unpack(residual)[m:m + k]
+            used.update(i for i in range(k) if tail[i])
     return frozenset(c for i, c in enumerate(basis) if i not in used)
 
 

@@ -123,6 +123,19 @@ def test_circuits_scale_bound_exit_3(capsys):
     assert code == 0 and out.strip()
 
 
+def test_enumeration_bounds_exit_3_until_max_leaves_lifts_them(capsys):
+    star7 = "(a,b,c,d,e,f,g);"
+    code, _out, err = run(capsys, "binary-check", "--newick", star7)
+    assert code == 3
+    assert "circuit-enumeration bound of 6" in err
+    code, out, _err = run(capsys, "binary-check", "--newick", star7, "--max-leaves", "7")
+    assert code == 1 and "binary: false" in out
+    code, _out, err = run(capsys, "contract-bases", "--newick", "((a,b),(c,d),(e,f),(g,h));",
+                          "--split", "a,b|c,d,e,f,g,h")
+    assert code == 3
+    assert "basis-enumeration bound of 7" in err
+
+
 def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
     def broken(args):
         raise AssertionError("cross-check failed")

@@ -65,7 +65,7 @@ def test_solve_coordinates_rejects_dependent_rows():
        st.lists(st.integers(-3, 3), min_size=1, max_size=3))
 @settings(max_examples=120, deadline=None)
 def test_solve_coordinates_reproduces_target(rows, coeffs):
-    space = RowSpace(3)
+    space = RowSpace(3, bound=4)
     independent = [row for row in rows if space.add(row)]
     coeffs = coeffs[:len(independent)] + [0] * (len(independent) - len(coeffs))
     target = [sum(c * row[j] for c, row in zip(coeffs, independent)) for j in range(3)]
@@ -103,7 +103,7 @@ def test_rowspace_pop_restores_state():
 
 
 def test_rowspace_tail_rides_along_and_width_is_checked():
-    space = RowSpace(2, tail=1)
+    space = RowSpace(2, tail=1, bound=7)
     assert space.add([0, 2, 5])
     assert space.add([3, 1, 0])
     assert space.pivots == (1, 0)
@@ -111,12 +111,40 @@ def test_rowspace_tail_rides_along_and_width_is_checked():
     # never enlarges the span, whatever its tail
     assert not space.add([0, 0, 7])
     assert space.contains([6, 4, 1])
-    *main, tail = space.reduce([6, 4, 1])
+    residual, _divisor = space.reduce([6, 4, 1])
+    *main, tail = space.unpack(residual)
     assert main == [0, 0] and tail != 0
     with pytest.raises(ValueError):
         space.add([1, 0])
     with pytest.raises(ValueError):
         space.contains([1, 0, 0, 0])
+
+
+def test_rowspace_refuses_entries_beyond_its_bound_and_never_wraps_them():
+    space = RowSpace(2, tail=1)
+    assert space.add([1, 1, 0])
+    # 2**64 + 1 is 1 modulo any field width up to 64 bits: a wrapped entry
+    # would look like a valid 0/1 row
+    wrapped = (1 << 64) + 1
+    for row in ([2, 0, 0], [0, -2, 0], [wrapped, 0, 0], [0, 1, wrapped]):
+        for method in (space.add, space.contains, space.reduce, space.pack):
+            with pytest.raises(ValueError, match="bound of 1"):
+                method(row)
+    assert space.rank == 1 and space.pivots == (0,)
+    assert space.add([0, 1, 1])
+    assert RowSpace(2, tail=1, bound=wrapped).add([wrapped, 0, 0])
+
+
+def test_rank_of_large_entries_matches_gauss_jordan():
+    rng = random.Random(13)
+    for _ in range(200):
+        ncols = rng.randint(1, 6)
+        big = 1 << rng.randint(1, 80)
+        rows = [[rng.choice((0, big, -big, rng.randint(-big, big))) for _ in range(ncols)]
+                for _ in range(rng.randint(1, 7))]
+        if rng.random() < 0.5:
+            rows.append([2 * x - y for x, y in zip(rows[0], rows[-1])])
+        assert rank(rows) == oracles.gauss_jordan_rank(rows)
 
 
 def test_rowspace_annihilator_vanishes_on_the_rows_and_spans_the_kernel():
@@ -128,7 +156,7 @@ def test_rowspace_annihilator_vanishes_on_the_rows_and_spans_the_kernel():
         if rank([row[:k] for row in rows]) < k:
             continue
         cases += 1
-        space = RowSpace(k, tail=1)
+        space = RowSpace(k, tail=1, bound=3)
         for row in rows:
             assert space.add(row)
         n = space.annihilator()
@@ -144,7 +172,7 @@ def test_rowspace_annihilator_refuses_outside_its_preconditions():
     no_tail = RowSpace(2)
     no_tail.add([1, 0])
     no_tail.add([0, 1])
-    wide_tail = RowSpace(1, tail=2)
+    wide_tail = RowSpace(1, tail=2, bound=3)
     wide_tail.add([1, 2, 3])
     short = RowSpace(2, tail=1)
     short.add([1, 1, 0])

@@ -183,6 +183,30 @@ def test_coloops_are_proper_cherries_at_scale():
         assert matroid.coloops(t) == proper
 
 
+def test_widest_field_agrees_with_gauss_jordan_on_the_24_leaf_caterpillar():
+    # 45 edge columns: rank_of packs minors of order 45, and coloops carries
+    # a 45-wide identity tail, the widest field any tree the toolkit takes
+    # builds.  Each coloop drops the oracle rank; every 13th other cord
+    # does not.
+    labels = [f"x{i:02d}" for i in range(24)]
+    t = lm.caterpillar_tree(labels)
+    all_c = sorted(lm.all_cords(labels))
+    rows = [t.path_vector(c) for c in all_c]
+    assert len(all_c) == 276 and len(t.edge_ids) == 45
+    assert matroid.rank_of(t, all_c) == oracles.gauss_jordan_rank(rows) == 45
+    rng = random.Random(24)
+    for k in (3, 20, 44, 60):
+        picked = sorted(rng.sample(range(276), k))
+        assert matroid.rank_of(t, [all_c[i] for i in picked]) == \
+            oracles.gauss_jordan_rank([rows[i] for i in picked])
+    found = matroid.coloops(t)
+    assert found == {lm.cord("x00", "x01"), lm.cord("x22", "x23")}
+    others = [i for i, c in enumerate(all_c) if c not in found][::13]
+    for i in [all_c.index(c) for c in found] + others:
+        dropped = oracles.gauss_jordan_rank(rows[:i] + rows[i + 1:]) < 45
+        assert dropped == (all_c[i] in found)
+
+
 def test_rank_monotone_submodular_unit_increase():
     rng = random.Random(23)
     for n in (4, 5):
