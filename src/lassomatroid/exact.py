@@ -1,17 +1,24 @@
 """Exact rational linear algebra and linear feasibility.
 
-Everything here is exact: scalars are integers or ``fractions.Fraction``.
-Every row elimination (rank, coordinates, kernels, the equality step of
-feasibility) runs through ``RowSpace``.  It stores each row as one packed
-Python int, a signed W-bit field per column, and eliminates by incremental
-Bareiss steps: each step is a few whole-int operations and divides exactly
-by the previous pivot, so every stored entry is a minor of the input rows
-and Hadamard's bound on those minors fixes W when the space is built.  The
-feasibility decider substitutes its equalities out of the inequalities
-through the same kernel, which scales each inequality by a positive factor,
-then runs Fourier-Motzkin elimination on primitive integer lists, with
-strict/weak flags carried through each step.  There is no floating point
-anywhere.
+Everything here is exact: scalars are integers or ``fractions.Fraction``,
+and there is no floating point anywhere.  Every row elimination (rank,
+coordinates, kernels, the equality step of feasibility) runs through
+``RowSpace``, the one kernel:
+
+- Packed rows.  A row is one Python int with a signed W-bit field per
+  column, so a reduction step, a pivot lookup and the test for a zero main
+  part are each a few whole-int operations instead of a loop over entries.
+- Incremental Bareiss elimination.  Each step divides exactly by the pivot
+  of the previous step applied, so every entry stored or returned is a
+  minor of the rows put in.
+- Field width from Hadamard's bound.  Those minors are bounded in advance,
+  which fixes W when the space is built; a row with an entry beyond the
+  space's bound is refused, never wrapped.
+
+``feasible`` substitutes its equalities out of its inequalities through the
+same kernel, which scales each inequality by a positive factor, and then
+runs Fourier-Motzkin elimination on primitive integer lists, with
+strict/weak flags carried through each step.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import mul
-from struct import Struct
+from struct import pack, unpack
 
 from .errors import ScaleBoundError
 
@@ -48,62 +55,73 @@ def _entry_bound(rows):
 class RowSpace:
     """Incrementally built row space: the one exact elimination kernel.
 
-    A row holds ``ncols`` main entries followed by ``tail`` carried entries.
-    Pivots are chosen among the main columns only, and the tail rides along
-    through every step.  A tail therefore records what a residual is made
-    of: with identity tails it holds the combination of inserted rows, with
-    a right-hand side it holds the reduced constant.  ``add`` appends a new
+    A row holds ``ncols`` main entries followed by ``tail`` carried entries,
+    all integers of absolute value at most ``bound``.  Pivots are chosen
+    among the main columns only, and the tail rides along through every
+    step.  A tail therefore records what a residual is made of: with
+    identity tails it holds the combination of inserted rows, with a
+    right-hand side it holds the reduced constant.  ``add`` appends a new
     pivot row when the rank of the main part grows and ``pop`` undoes it for
     depth-first backtracking.
 
     Packed layout.  A row is the int ``sum(e[j] << W*j)``: column ``j``
     (main columns first, then the tail) is a signed W-bit field.  Packing
-    is linear, so ``a*x - c*r`` on two packed rows is the packed row of the
-    entrywise combination, whatever carries pass between fields.  A field is
-    read after adding a bias of ``2**(W-1)`` to every field, the lowest
-    nonzero column is the lowest set bit over W, and the main part is zero
-    exactly when the low ``W*ncols`` bits are.
+    is linear, so ``a*x - c*r`` on packed rows is the packed row of the
+    entrywise combination, whatever carries pass between fields.  Adding
+    the bias ``sum(2**(W-1) << W*j)`` makes every field nonnegative, so a
+    field of the biased int is read from the bits below it alone, and its
+    bytes are the fields in two's complement with their top bits flipped,
+    which is how ``pack`` and ``unpack`` convert a whole row at once.  The
+    lowest nonzero column of a row is its lowest set bit over W, and the
+    main part is zero exactly when the low ``W*ncols`` bits are.
 
     Bareiss divisor.  Stored rows ``r_1 .. r_k`` have pivot entries
     ``a_1 .. a_k``, and ``r_i`` is zero at every earlier pivot.  A row is
-    reduced by ``x <- (a_i*x - x[p_i]*r_i) / d`` for each ``i`` whose pivot
-    entry in ``x`` is nonzero, where ``d`` is the pivot entry of the last
-    row applied (1 before any); the division is exact (Bareiss 1968,
-    "Sylvester's identity and multistep integer-preserving Gaussian
-    elimination", Math. Comp. 22).  ``reduce`` returns the residual with
-    that divisor, and a row joins the space scaled by ``a_k / d``, which
-    makes it the full Bareiss row.  Every entry of a residual or a stored
-    row is then a minor of the inserted rows.
+    reduced by ``x <- (a_i*x - x[p_i]*r_i) / d`` for each ``i`` in turn
+    whose pivot entry in ``x`` is nonzero, where ``d`` is the pivot entry of
+    the last row applied (1 before any).  The division is exact (Bareiss
+    1968, "Sylvester's identity and multistep integer-preserving Gaussian
+    elimination", Math. Comp. 22), and a power-of-two part of ``d`` is
+    divided out by a shift.  ``reduce`` returns the residual with that
+    divisor ``d``; the residual is ``d`` times the row minus a combination
+    of the stored rows.  ``add`` takes the pair and stores the residual
+    scaled by ``a_k / d``, which makes it the full Bareiss row.  Every entry
+    of a residual or a stored row is then a minor of the inserted rows, and
+    so is every entry of ``annihilator``.
 
-    Field width.  A minor of order at most ``m = min(ncols + 1, ncols +
-    tail)`` of rows whose entries are bounded by ``bound`` is at most
-    ``bound**m * m**(m/2)`` in absolute value (Hadamard), so W is one bit
-    wider than that bound.  ``pack`` refuses a row of the wrong length or
-    with an entry beyond ``bound`` with ValueError, so no field is ever
-    taken modulo ``2**W``.
+    Field width.  Such a minor has order at most ``m = min(ncols + 1,
+    ncols + tail)``, so Hadamard's bound caps it at ``bound**m * m**(m/2)``
+    in absolute value.  W is that bound's bit length plus a sign bit,
+    rounded up to whole bytes, and up to 64 bits to a power of two.
+    ``pack`` refuses a row of the wrong length or with an entry beyond
+    ``bound`` with ValueError, so no field is ever taken modulo ``2**W``.
     """
+
+    __slots__ = ("ncols", "width", "bound", "_w", "_bytes", "_format", "_field", "_half",
+                 "_bias", "_main", "_stack")
 
     def __init__(self, ncols, tail=0, bound=1):
         width = ncols + tail
         m = min(ncols + 1, width)
         bits = (bound ** m * (isqrt(m ** m) + 1)).bit_length() + 1
-        # Whole bytes, and up to 64 bits a power of two, so that pack and
-        # unpack convert every field with one struct call.
         w = max(8, 1 << (bits - 1).bit_length()) if bits <= 64 else -(-bits // 8) * 8
+        size = w // 8
+        half = 1 << (w - 1)
         self.ncols = ncols
         self.width = width
         self.bound = bound
         self._w = w
-        self._bytes = w // 8 * width
-        self._struct = Struct(f"<{width}{'bhiq'[(w // 8).bit_length() - 1]}") if w <= 64 else None
+        self._bytes = size * width
+        # Up to 64 bits, pack and unpack convert every field in one struct call.
+        self._format = f"<{width}{'bhiq'[size.bit_length() - 1]}" if w <= 64 else None
         self._field = (1 << w) - 1
-        self._half = 1 << (w - 1)
-        self._bias = int.from_bytes(self._half.to_bytes(w // 8, "little") * width, "little")
+        self._half = half
+        self._bias = int.from_bytes(half.to_bytes(size, "little") * width, "little")
         self._main = (1 << (w * ncols)) - 1
         # Per stored row: [packed row, bit offset s of its pivot field, the
-        # mask of the bits below s + W, pivot entry a, a * bias, then k and q
-        # with a == q * 2**k and q odd, then its entries once the
-        # annihilator has unpacked them].
+        # mask of the bits below s + W, pivot entry a, then k and q with
+        # a == q * 2**k and q odd, then its entries once the annihilator has
+        # unpacked them].
         self._stack = []
 
     @property
@@ -117,15 +135,8 @@ class RowSpace:
 
     def pack(self, row):
         """The packed int of a row of ``ncols + tail`` integer entries."""
-        if row:
-            low, high = min(row), max(row)
-            if high > self.bound or low < -self.bound:
-                raise ValueError(f"row entry beyond this space's bound of {self.bound}")
-            if self._struct is None and low >= 0 and high < 256 and len(row) == self.width:
-                # Wide fields: entries that fit a byte go to their field's first byte.
-                data = bytearray(self._bytes)
-                data[::self._w // 8] = bytes(row)
-                return int.from_bytes(data, "little")
+        if row and (max(row) > self.bound or min(row) < -self.bound):
+            raise ValueError(f"row entry beyond this space's bound of {self.bound}")
         return self._pack(row)
 
     def _pack(self, row):
@@ -133,21 +144,29 @@ class RowSpace:
 
         Fields in two's complement, each with its top bit flipped, are the
         packed row plus the bias, since ``e + 2**(W-1)`` never borrows.
+        Fields wider than 64 bits take entries that fit a byte in their
+        first byte.
         """
         if len(row) != self.width:
             raise ValueError(f"row of length {len(row)}, expected {self.width}")
-        if self._struct is not None:
-            return (int.from_bytes(self._struct.pack(*row), "little") ^ self._bias) - self._bias
-        x, w = 0, self._w
-        for e in reversed(row):
-            x = (x << w) + e
-        return x
+        if self._format is not None:
+            return (int.from_bytes(pack(self._format, *row), "little") ^ self._bias) - self._bias
+        try:
+            entries = bytes(row)
+        except ValueError:   # an entry below 0 or above 255
+            x, w = 0, self._w
+            for e in reversed(row):
+                x = (x << w) + e
+            return x
+        data = bytearray(self._bytes)
+        data[::self._w // 8] = entries
+        return int.from_bytes(data, "little")
 
     def unpack(self, x):
         """The entries of a packed row or residual, main columns first."""
         data = ((x + self._bias) ^ self._bias).to_bytes(self._bytes, "little")
-        if self._struct is not None:
-            return list(self._struct.unpack(data))
+        if self._format is not None:
+            return list(unpack(self._format, data))
         k = self._w // 8
         return [int.from_bytes(data[i:i + k], "little", signed=True)
                 for i in range(0, self._bytes, k)]
@@ -157,20 +176,19 @@ class RowSpace:
 
         ``row`` is a sequence of entries or a row packed by ``pack``.
         Returns ``(residual, divisor)``: the packed residual is zero at every
-        pivot column and equals a nonzero multiple of ``row`` minus a
-        combination of the stored rows; pass both to ``add`` to insert it.
+        pivot column and equals ``divisor`` times ``row`` minus a combination
+        of the stored rows; pass both to ``add`` to insert it.
         """
         x = row if type(row) is int else self.pack(row)
-        # Reduce the biased residual x + bias, whose every field is
-        # nonnegative, so that a field is read from the low bits alone.  The
-        # divisor d = 2**k * q divides by a shift, then by its odd part.
+        # The loop holds x + bias, so a field is read from the bits below it;
+        # the divisor d = q * 2**k divides by a shift, then by its odd part.
         bias, half = self._bias, self._half
         x += bias
         d, k, q = 1, 0, 1
-        for r, s, low, a, abias, ak, aq, _ in self._stack:
+        for r, s, low, a, ak, aq, _ in self._stack:
             c = (x & low) >> s
             if c != half:
-                x = a * x - (c - half) * r - abias
+                x = a * (x - bias) - (c - half) * r
                 if k:
                     x >>= k
                 if q != 1:
@@ -202,8 +220,7 @@ class RowSpace:
         s -= s % self._w
         lead = ((row >> s) + self._half & self._field) - self._half
         k = (lead & -lead).bit_length() - 1
-        stack.append([row, s, (1 << (s + self._w)) - 1, lead, lead * self._bias,
-                      k, lead >> k, None])
+        stack.append([row, s, (1 << (s + self._w)) - 1, lead, k, lead >> k, None])
         return True
 
     def pop(self):
@@ -236,9 +253,9 @@ class RowSpace:
         n[-1] = a
         n[s // w] = self._half - ((x + self._bias) >> (w * self.ncols) & self._field)
         for entry in self._stack[-2::-1]:
-            if entry[7] is None:
-                entry[7] = self.unpack(entry[0])
-            n[entry[1] // w] = -sum(map(mul, entry[7], n)) // entry[3]
+            if entry[6] is None:
+                entry[6] = self.unpack(entry[0])
+            n[entry[1] // w] = -sum(map(mul, entry[6], n)) // entry[3]
         return n
 
 

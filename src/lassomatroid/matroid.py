@@ -23,17 +23,31 @@ def path_vector(tree, c):
     return tree.path_vector(c)
 
 
-def rank_of(tree, cords):
-    """Rank of the stacked path vectors of the given cords."""
+def rank_of(tree, cords, packed=None):
+    """Rank of the stacked path vectors of the given cords.
+
+    ``packed``, when given, is a dict that keeps each cord's packed path
+    vector between calls on the same tree, so that no row is packed twice.
+    """
     space = RowSpace(len(tree.edge_ids))
     for c in sorted(cords):
-        space.add(tree.path_vector(c))
+        if packed is None:
+            space.add(tree.path_vector(c))
+            continue
+        row = packed.get(c)
+        if row is None:
+            row = packed[c] = space.pack(tree.path_vector(c))
+        space.add(row)
     return space.rank
 
 
 def rank_oracle(tree):
-    """The rank function of the tree's cord matroid, as a plain callable."""
-    return lambda cords: rank_of(tree, cords)
+    """The rank function of the tree's cord matroid, as a plain callable.
+
+    The callable packs each cord's path vector once, for all its queries.
+    """
+    packed = {}
+    return lambda cords: rank_of(tree, cords, packed)
 
 
 @dataclass(frozen=True)
