@@ -134,7 +134,11 @@ class RowSpace:
         return tuple(entry[1] // self._w for entry in self._stack)
 
     def pack(self, row):
-        """The packed int of a row of ``ncols + tail`` integer entries."""
+        """The packed int of a row of ``ncols + tail`` integer entries.
+
+        A row of another length, or with an entry beyond ``bound``, is
+        refused with ValueError.
+        """
         if row and (max(row) > self.bound or min(row) < -self.bound):
             raise ValueError(f"row entry beyond this space's bound of {self.bound}")
         return self._pack(row)

@@ -29,11 +29,10 @@ def rank_of(tree, cords, packed=None):
     ``packed``, when given, is a dict that keeps each cord's packed path
     vector between calls on the same tree, so that no row is packed twice.
     """
+    if packed is None:
+        packed = {}
     space = RowSpace(len(tree.edge_ids))
     for c in sorted(cords):
-        if packed is None:
-            space.add(tree.path_vector(c))
-            continue
         row = packed.get(c)
         if row is None:
             row = packed[c] = space.pack(tree.path_vector(c))
@@ -131,7 +130,8 @@ def _basis_dfs(rows, tail=0):
     A row holds main entries, then ``tail`` carried ones.  One backward
     pass first records ``reach[i]``, the rank of ``rows[i:]``; a prefix
     stops at the first ``i`` whose ``reach[i]`` is below the number of rows
-    it still lacks, since no basis lies past that point.  At each basis the
+    it still lacks, since no basis lies past that point.  The rows are
+    packed once, and both spaces take the packed ints.  At each basis the
     search yields its chosen indices (a list, increasing) and its live
     ``RowSpace``, both valid only until the generator is resumed.
     """
