@@ -289,16 +289,18 @@ def solve_coordinates(basis_rows, target):
     the target's residual ``s * target + sum(t_i * row_i)`` reads off the
     coordinates ``-t_i / s`` once its main part vanishes.
     """
-    if not basis_rows:
+    rows = [list(row) for row in basis_rows]
+    target = list(target)
+    if not rows:
         return None if any(target) else ()
     # One common positive factor turns every entry into an integer and
     # leaves the coordinates unchanged.
-    *rows, target = [list(row) for row in basis_rows] + [list(target)]
-    if not all(isinstance(x, int) for row in [*rows, target] for x in row):
-        denom = lcm(*(Fraction(x).denominator for row in [*rows, target] for x in row))
-        *rows, target = [[int(Fraction(x) * denom) for x in row] for row in [*rows, target]]
+    every = [*rows, target]
+    if not all(isinstance(x, int) for row in every for x in row):
+        denom = lcm(*(Fraction(x).denominator for row in every for x in row))
+        *rows, target = every = [[int(Fraction(x) * denom) for x in row] for row in every]
     k = len(rows)
-    space = RowSpace(len(rows[0]), tail=k + 1, bound=_entry_bound([*rows, target]))
+    space = RowSpace(len(rows[0]), tail=k + 1, bound=_entry_bound(every))
     for i, row in enumerate(rows):
         if not space.add(row + _unit(k + 1, i)):
             raise ValueError("basis rows are rank-deficient")
@@ -417,7 +419,9 @@ def feasible(system, max_variables=24):
     eqs = RowSpace(nvars, tail=1, bound=system.bound)
     for row in system.equalities:
         res, divisor = eqs.reduce(eqs._pack(row))
-        if not eqs.add(res, divisor) and res:
+        if res & eqs._main:
+            eqs.add(res, divisor)
+        elif res:   # 0 = rhs with rhs nonzero
             return False
     pivot_cols = eqs.pivots
 
