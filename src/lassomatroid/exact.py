@@ -27,17 +27,17 @@ from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import mul
-from struct import pack, unpack
+from struct import pack as pack_fields, unpack as unpack_fields
 
 from .errors import ScaleBoundError
 
 
 def _integerize(row):
-    """Scale a rational row by a positive factor to an integer list.
+    """Scale a rational row by a positive factor to integers.
 
     Rank, span and the solutions and direction of an inequality are all
-    invariant under it.  An integer row is returned as it is: no Fraction is
-    built.
+    invariant under it.  A row of integers is returned as it is: no
+    Fraction is built.
     """
     if all(map(isinstance, row, repeat(int))):
         return row
@@ -154,7 +154,7 @@ class RowSpace:
         if len(row) != self.width:
             raise ValueError(f"row of length {len(row)}, expected {self.width}")
         if self._format is not None:
-            return (int.from_bytes(pack(self._format, *row), "little") ^ self._bias) - self._bias
+            return (int.from_bytes(pack_fields(self._format, *row), "little") ^ self._bias) - self._bias
         try:
             entries = bytes(row)
         except ValueError:   # an entry below 0 or above 255
@@ -170,7 +170,7 @@ class RowSpace:
         """The entries of a packed row or residual, main columns first."""
         data = ((x + self._bias) ^ self._bias).to_bytes(self._bytes, "little")
         if self._format is not None:
-            return list(unpack(self._format, data))
+            return list(unpack_fields(self._format, data))
         k = self._w // 8
         return [int.from_bytes(data[i:i + k], "little", signed=True)
                 for i in range(0, self._bytes, k)]
