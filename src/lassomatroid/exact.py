@@ -24,7 +24,7 @@ strict/weak flags carried through each step.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import repeat
 from math import gcd, isqrt, lcm
 from operator import mul
 from struct import pack as pack_fields, unpack as unpack_fields
@@ -347,25 +347,15 @@ class LinearSystem:
     """
 
     def __init__(self, equalities=(), strict_inequalities=(), weak_inequalities=()):
-        groups = [[[*row, rhs] for row, rhs in group]
-                  for group in (equalities, strict_inequalities, weak_inequalities)]
-        rows = [row for group in groups for row in group]
-        try:
-            # One pass over the entries: ints below 256 in magnitude need no
-            # scaling, and their largest magnitude is the bound.  int.__abs__
-            # refuses any other type, bytes any magnitude above 255.
-            magnitudes = bytes(map(int.__abs__, chain.from_iterable(rows)))
-        except (TypeError, ValueError):
-            groups = [[_integerize(row) for row in group] for group in groups]
-            rows = [row for group in groups for row in group]
-            self.bound = _entry_bound(rows)
-        else:
-            self.bound = max(magnitudes) if magnitudes.translate(None, b"\0\1") else 1
-        self.equalities, self.strict_inequalities, self.weak_inequalities = groups
+        self.equalities = [_integerize([*row, rhs]) for row, rhs in equalities]
+        self.strict_inequalities = [_integerize([*row, rhs]) for row, rhs in strict_inequalities]
+        self.weak_inequalities = [_integerize([*row, rhs]) for row, rhs in weak_inequalities]
+        rows = self.equalities + self.strict_inequalities + self.weak_inequalities
         widths = {len(row) for row in rows}
         if len(widths) > 1:
             raise ValueError("constraints disagree on variable count")
         self.nvars = widths.pop() - 1 if widths else 0
+        self.bound = _entry_bound(rows)
 
 
 # One Fourier-Motzkin step may build at most this many candidate
