@@ -3,8 +3,10 @@
 A cord set is an edge-weight lasso when its distances pin down every edge
 weight (a spanning set of the cord matroid), a topological lasso when
 agreement of distances on it forces the tree shape itself, and a strong
-lasso when it is both.  The topological decider here is exact: it grows
-competing tree shapes leaf by leaf, pruned by exact linear feasibility.
+lasso when it is both.  The topological decider here is exact.  From four
+leaves on a topological lasso must be a connected t-cover, so it rejects any
+other cord set in one pass; for a connected t-cover it grows competing tree
+shapes leaf by leaf, pruned by exact linear feasibility.
 "Admissible" weightings are strictly positive on interior edges and
 non-negative on pendant edges; pass ``pendant_strict=True`` to require strict
 positivity on pendant edges as well.
@@ -40,7 +42,13 @@ def leaf_bipartitions(labels):
 
 
 def is_t_cover(tree, cords):
-    """Every pair of edges meeting at an interior vertex lies on some cord's path."""
+    """Every pair of edges meeting at an interior vertex lies on some cord's path.
+
+    T-covers are the central notion of Dress, Huber & Steel, "'Lassoing' a
+    phylogenetic tree I" (J. Math. Biol. 65, 2012).  From four leaves on a
+    t-cover is necessary for a topological lasso, so ``is_topological_lasso``
+    rejects every non-cover with this test; its docstring has the proof.
+    """
     column = tree.edge_column
     needed = {(column[e1], column[e2]) for v in tree.interior_vertices
               for (_, e1), (_, e2) in itertools.combinations(tree.neighbors(v), 2)}
@@ -129,25 +137,53 @@ def is_topological_lasso(tree, cords, max_leaves=6, pendant_strict=False):
     """Exact decision of the topological-lasso property.
 
     No other shape on the leaves may have an admissible weighting agreeing
-    with one of the tree's on the cords.  Competing shapes grow one leaf at a
-    time, most cords first; a prefix on leaves Y is kept only while it can
-    agree with the tree restricted to Y on the cords inside Y, since
+    with one of the tree's on the cords.  Three leaves allow one shape, so
+    everything passes.  From four leaves on, a cord set that is not a t-cover
+    fails, at any number of leaves; ``max_leaves`` bounds only the search
+    that follows this test.
+
+    A t-cover is necessary, by weight shifting.  Say the edges e1, e2 at the
+    interior vertex v, leading to the leaf sets A and B, lie on no cord's
+    path; then no cord joins A and B.  Give the tree T unit weights.  In
+    each case below, a shape other than T, weighted positively on every
+    edge, has the distances of T on every leaf pair except the A-B pairs,
+    so it agrees with T on the cords, with or without ``pendant_strict``:
+
+    - deg v >= 4: refine v by a new edge g that separates the branches
+      towards A and B from the other branches, with w(g) = 1/2, and take
+      1/2 off e1 and off e2;
+    - deg v = 3 and the third edge e3 is interior: contract e3 and add
+      w(e3) to e1 and to e2;
+    - deg v = 3 and e3 is pendant: with four leaves or more one of e1, e2,
+      say e1, is interior.  Start from w(e2) = 2, contract e1, take w(e1)
+      off e2 and add it to e3.
+
+    A t-cover's cord graph is connected, so the test also rejects every
+    disconnected cord graph.  Take a vertex whose branches are the leaves
+    x1..xm and at most one other branch R.  A t-cover holds every cord
+    xi-xj and, when R exists, a cord from each xi into R.  Putting x1 in
+    place of xi in the cords into R gives a t-cover of the tree restricted
+    to R and x1, and so on down to three leaves, where a t-cover holds all
+    three cords.
+
+    A connected t-cover goes to the search: competing shapes grow one leaf
+    at a time, most cords first; a prefix on leaves Y is kept only while it
+    can agree with the tree restricted to Y on the cords inside Y, since
     restricting agreeing weightings (summing along condensed chains) keeps
-    them admissible and agreeing.  A disconnected cord graph fails at once
-    from four leaves on; three leaves allow one shape, so everything passes.
+    them admissible and agreeing.
     """
     labels = tree.leaves
-    if len(labels) > max_leaves:
-        raise ScaleBoundError(
-            f"{len(labels)} leaves exceeds the topological-decider bound of {max_leaves}")
     cords = frozenset(cords)
     for c in cords:
         if c[0] not in labels or c[1] not in labels:
             raise ValueError(f"cord {c} is not over the leaf set")
     if len(labels) < 4:
         return True
-    if len(analyze(labels, cords).components) > 1:
+    if not is_t_cover(tree, cords):
         return False
+    if len(labels) > max_leaves:
+        raise ScaleBoundError(
+            f"{len(labels)} leaves exceeds the topological-decider bound of {max_leaves}")
     key = (tree.canonical_form(), cords, pendant_strict)
     cached = _topological_memo.get(key)
     if cached is not None:

@@ -1,5 +1,6 @@
 import contextlib
 import io
+import itertools
 import json
 import os
 
@@ -121,6 +122,21 @@ def test_circuits_scale_bound_exit_3(capsys):
     assert code == 3
     code, out, _err = run(capsys, "circuits", "--newick", QUARTET, "--max-leaves", "4")
     assert code == 0 and out.strip()
+
+
+def test_lasso_noncover_decided_beyond_the_scale_bound(tmp_path, capsys):
+    # the leaf path of the 9-leaf caterpillar is connected but no t-cover
+    path = write_cords(tmp_path, "".join(f"{x} {y}\n" for x, y in zip("abcdefgh", "bcdefghi")))
+    code, out, _err = run(capsys, "lasso", "--newick", "((((((((a,b),c),d),e),f),g),h),i);",
+                          "--cords", path, "--predicate", "topological")
+    assert code == 1
+    assert "topological: false" in out and "strong: false" in out
+    star7 = write_cords(tmp_path, "".join(f"{x} {y}\n" for x, y in
+                                          itertools.combinations("abcdefg", 2)), "star7.txt")
+    code, out, err = run(capsys, "lasso", "--newick", "(a,b,c,d,e,f,g);", "--cords", star7,
+                         "--predicate", "topological")
+    assert code == 3
+    assert "undecided at this scale" in err
 
 
 def test_enumeration_bounds_exit_3_until_max_leaves_lifts_them(capsys):

@@ -6,6 +6,7 @@ import pytest
 
 import lassomatroid as lm
 from lassomatroid import lasso, matroid
+from lassomatroid.stargraph import analyze
 from helpers import cords, double_star, letters, trees_on, binary_trees_on
 
 
@@ -156,6 +157,82 @@ def test_pruned_decider_matches_exhaustive_shape_search(monkeypatch):
                 (t, sorted(sub), strict)
             seen.add((t.n_leaves, want))
     assert seen == {(4, False), (4, True), (5, False), (5, True)}
+
+
+def is_connected_noncover(t, sub):
+    return len(analyze(t.leaves, sub).components) == 1 and not lasso.is_t_cover(t, sub)
+
+
+def noncover_sample():
+    """Connected non-covers: every cord subset of every 4-leaf shape, three
+    seeded random ones on every 5-leaf shape and 30 on random 6-leaf shapes."""
+    every = sorted(lm.all_cords(letters(4)))
+    cases = [(t, frozenset(sub)) for t in trees_on(4) for r in range(len(every) + 1)
+             for sub in itertools.combinations(every, r)
+             if is_connected_noncover(t, frozenset(sub))]
+    rng = random.Random(15)
+    for t in [t for t in trees_on(5) for _ in range(3)] \
+            + [rng.choice(trees_on(6)) for _ in range(30)]:
+        every = sorted(lm.all_cords(t.leaves))
+        p = rng.choice((0.5, 0.7, 0.8, 0.9))
+        while True:
+            sub = frozenset(c for c in every if rng.random() < p)
+            if is_connected_noncover(t, sub):
+                cases.append((t, sub))
+                break
+    return cases
+
+
+def test_search_alone_rejects_every_noncover(monkeypatch):
+    # the t-cover shortcut in is_topological_lasso must agree with its own search
+    cases = noncover_sample()
+    assert {t.canonical_form() for t, _sub in cases} >= \
+        {t.canonical_form() for t in trees_on(4) + trees_on(5)}
+    searched = []
+    real = lasso.feasible
+    monkeypatch.setattr(lasso, "feasible", lambda *a, **k: searched.append(1) or real(*a, **k))
+    monkeypatch.setattr(lasso, "is_t_cover", lambda tree, cords: True)
+    for t, sub in cases:
+        for strict in (False, True):
+            monkeypatch.setattr(lasso, "_topological_memo", {})
+            assert not lm.is_topological_lasso(t, sub, pendant_strict=strict), \
+                (t, sorted(sub), strict)
+    assert searched
+
+
+def test_noncovers_never_reach_feasibility(monkeypatch):
+    # every cord subset of every shape with 4 or 5 leaves: a non-cover is
+    # rejected before the search, a t-cover is connected, so the t-cover test
+    # also stands in for a connectivity test
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("a non-cover reached the feasibility search")
+
+    monkeypatch.setattr(lasso, "_topological_memo", {})
+    monkeypatch.setattr(lasso, "feasible", refuse)
+    for n in (4, 5):
+        every = sorted(lm.all_cords(letters(n)))
+        for t in trees_on(n):
+            for r in range(len(every) + 1):
+                for sub in map(frozenset, itertools.combinations(every, r)):
+                    if lasso.is_t_cover(t, sub):
+                        assert len(analyze(t.leaves, sub).components) == 1, (t, sorted(sub))
+                    else:
+                        for strict in (False, True):
+                            assert not lm.is_topological_lasso(t, sub, pendant_strict=strict)
+    for t, sub in noncover_sample():
+        for strict in (False, True):
+            assert not lm.is_topological_lasso(t, sub, pendant_strict=strict)
+
+
+def test_noncover_decided_beyond_the_scale_bound():
+    # the leaf path a-b, b-c, ..., h-i of the 9-leaf caterpillar
+    t = lm.tree_from_newick("((((((((a,b),c),d),e),f),g),h),i);")
+    path = cords(*("abcdefghi"[i:i + 2] for i in range(8)))
+    assert len(analyze(t.leaves, path).components) == 1
+    assert not lasso.is_t_cover(t, path)
+    assert lm.is_topological_lasso(t, path) is False
+    report = lm.lasso_report(t, path)
+    assert report.topological is False and report.strong is False
 
 
 def test_topological_variable_cap_follows_the_leaf_bound():
