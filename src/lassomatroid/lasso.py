@@ -4,9 +4,9 @@ A cord set is an edge-weight lasso when its distances pin down every edge
 weight (a spanning set of the cord matroid), a topological lasso when
 agreement of distances on it forces the tree shape itself, and a strong
 lasso when it is both.  The topological decider here is exact.  From four
-leaves on a topological lasso must be a connected t-cover, so it rejects any
-other cord set in one pass; for a connected t-cover it grows competing tree
-shapes leaf by leaf, pruned by exact linear feasibility.
+leaves on a topological lasso must be a t-cover, so it rejects any other cord
+set in one pass; for a t-cover it grows competing tree shapes leaf by leaf,
+pruned by exact linear feasibility.
 "Admissible" weightings are strictly positive on interior edges and
 non-negative on pendant edges; pass ``pendant_strict=True`` to require strict
 positivity on pendant edges as well.
@@ -166,8 +166,8 @@ def is_topological_lasso(tree, cords, max_leaves=6, pendant_strict=False):
     to R and x1, and so on down to three leaves, where a t-cover holds all
     three cords.
 
-    A connected t-cover goes to the search: competing shapes grow one leaf
-    at a time, most cords first; a prefix on leaves Y is kept only while it
+    A t-cover goes to the search: competing shapes grow one leaf at a
+    time, most cords first; a prefix on leaves Y is kept only while it
     can agree with the tree restricted to Y on the cords inside Y, since
     restricting agreeing weightings (summing along condensed chains) keeps
     them admissible and agreeing.
