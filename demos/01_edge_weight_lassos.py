@@ -13,7 +13,7 @@ print("tree:", quartet.to_newick(), "| edges:", len(quartet.edge_ids))
 
 print("\nEvery cord turns into an incidence vector over the edges:")
 for c in sorted(lm.all_cords("abcd")):
-    print(f"  {c[0]}{c[1]}: {lm.path_vector(quartet, c)}")
+    print(f"  {c[0]}{c[1]}: {quartet.path_vector(c)}")
 
 print("\nAll six cords have rank", lm.rank_of(quartet, lm.all_cords("abcd")),
       "over", len(quartet.edge_ids), "edges: one linear relation among them.")

@@ -251,8 +251,7 @@ def _cmd_lasso(args):
     tree, _ = _load_tree(args)
     cords = _load_cords(args, tree)
     bound = _max_leaves(args, 6)
-    report = lasso.lasso_report(tree, cords, max_leaves=bound,
-                                pendant_strict=args.pendant_strict)
+    report = lasso.lasso_report(tree, cords, max_leaves=bound)
     undecided = "undecided (scale)"
     record = {
         "rank": report.rank,
@@ -383,8 +382,6 @@ def build_parser():
     p = add("pointed-covers", _cmd_pointed_covers)
     p.add_argument("--leaf", required=True, help="anchor leaf")
     p = add("lasso", _cmd_lasso, cords=True, max_leaves=True)
-    p.add_argument("--pendant-strict", action="store_true",
-                   help="require strictly positive pendant edges in the topological decider")
     p.add_argument("--predicate", choices=["edge-weight", "topological", "strong"],
                    help="exit 1 when this flag is false")
     add("quartets", _cmd_quartets)

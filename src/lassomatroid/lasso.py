@@ -7,9 +7,9 @@ lasso when it is both.  The topological decider here is exact.  From four
 leaves on a topological lasso must be a t-cover, so it rejects any other cord
 set in one pass; for a t-cover it grows competing tree shapes leaf by leaf,
 pruned by exact linear feasibility.
-"Admissible" weightings are strictly positive on interior edges and
-non-negative on pendant edges; pass ``pendant_strict=True`` to require strict
-positivity on pendant edges as well.
+The paper's weightings are positive on interior edges and non-negative on
+pendant edges.  The decider asks only whether weightings positive on every
+edge agree, which gives the same verdicts (see ``_agreement_system``).
 """
 
 from __future__ import annotations
@@ -115,28 +115,31 @@ def pointed_covers(tree, leaf):
         yield cover
 
 
-def _agreement_system(shape, tree, cords, pendant_strict):
-    """Feasibility system: admissible weightings of both trees agree on the cords."""
-    m1, m2 = len(shape.edge_ids), len(tree.edge_ids)
+def _agreement_system(shape, tree, cords):
+    """Feasibility system: positive weightings of both trees agree on the cords.
+
+    The paper lets pendant edges weigh 0.  That changes no verdict: positive
+    weightings are among the paper's, and adding a constant c > 0 to every
+    pendant edge of both trees keeps the interior weights and makes every
+    pendant weight positive; since every leaf-to-leaf path crosses exactly
+    two pendant edges, every cord's distance grows by 2c in both trees, so
+    agreement is kept.
+    """
+    nvars = len(shape.edge_ids) + len(tree.edge_ids)
     equalities = [([*shape.path_vector(c), *(-x for x in tree.path_vector(c))], 0)
                   for c in sorted(cords)]
-    strict, weak = [], []
-    for t, offset in ((shape, 0), (tree, m1)):
-        for col, eid in enumerate(t.edge_ids):
-            row = [0] * (m1 + m2)
-            row[offset + col] = 1
-            if t.is_interior_edge(eid) or pendant_strict:
-                strict.append((row, 0))
-            else:
-                weak.append((row, 0))
-    return LinearSystem(equalities=equalities, strict_inequalities=strict,
-                        weak_inequalities=weak)
+    strict = []
+    for col in range(nvars):
+        row = [0] * nvars
+        row[col] = 1
+        strict.append((row, 0))
+    return LinearSystem(equalities=equalities, strict_inequalities=strict)
 
 
-def is_topological_lasso(tree, cords, max_leaves=6, pendant_strict=False):
+def is_topological_lasso(tree, cords, max_leaves=6):
     """Exact decision of the topological-lasso property.
 
-    No other shape on the leaves may have an admissible weighting agreeing
+    No other shape on the leaves may have a positive weighting agreeing
     with one of the tree's on the cords.  Three leaves allow one shape, so
     everything passes.  From four leaves on, a cord set that is not a t-cover
     fails, at any number of leaves; ``max_leaves`` bounds only the search
@@ -147,7 +150,7 @@ def is_topological_lasso(tree, cords, max_leaves=6, pendant_strict=False):
     path; then no cord joins A and B.  Give the tree T unit weights.  In
     each case below, a shape other than T, weighted positively on every
     edge, has the distances of T on every leaf pair except the A-B pairs,
-    so it agrees with T on the cords, with or without ``pendant_strict``:
+    so it agrees with T on the cords:
 
     - deg v >= 4: refine v by a new edge g that separates the branches
       towards A and B from the other branches, with w(g) = 1/2, and take
@@ -170,7 +173,7 @@ def is_topological_lasso(tree, cords, max_leaves=6, pendant_strict=False):
     time, most cords first; a prefix on leaves Y is kept only while it
     can agree with the tree restricted to Y on the cords inside Y, since
     restricting agreeing weightings (summing along condensed chains) keeps
-    them admissible and agreeing.
+    them positive and agreeing.
     """
     labels = tree.leaves
     cords = frozenset(cords)
@@ -184,7 +187,7 @@ def is_topological_lasso(tree, cords, max_leaves=6, pendant_strict=False):
     if len(labels) > max_leaves:
         raise ScaleBoundError(
             f"{len(labels)} leaves exceeds the topological-decider bound of {max_leaves}")
-    key = (tree.canonical_form(), cords, pendant_strict)
+    key = (tree.canonical_form(), cords)
     cached = _topological_memo.get(key)
     if cached is not None:
         return cached
@@ -201,7 +204,7 @@ def is_topological_lasso(tree, cords, max_leaves=6, pendant_strict=False):
         if prefix.canonical_form() == form:
             return prefix.n_leaves < len(order)   # the tree itself is no competitor
         # each tree of the system has at most 2 * max_leaves - 3 edges
-        return feasible(_agreement_system(prefix, sub, inside, pendant_strict),
+        return feasible(_agreement_system(prefix, sub, inside),
                         max_variables=2 * (2 * max_leaves - 3))
 
     result = next(grow(star_tree(order[:3]), order[3:], keep=can_agree), None) is None
@@ -224,13 +227,12 @@ def _connected_bipartition(tree, cords):
     return None if others else component.sides
 
 
-def lasso_report(tree, cords, max_leaves=6, pendant_strict=False):
+def lasso_report(tree, cords, max_leaves=6):
     """Combined verdicts: edge-weight, topological (when in scale), strong."""
     cords = frozenset(cords)
     v = matroid.verdict(tree, cords)
     try:
-        topological = is_topological_lasso(tree, cords, max_leaves=max_leaves,
-                                           pendant_strict=pendant_strict)
+        topological = is_topological_lasso(tree, cords, max_leaves=max_leaves)
     except ScaleBoundError:
         topological = None
     if topological is None:
@@ -241,22 +243,20 @@ def lasso_report(tree, cords, max_leaves=6, pendant_strict=False):
                        strong=strong, bipartition=_connected_bipartition(tree, cords))
 
 
-def is_minimal_strong_lasso(tree, cords, max_leaves=6, pendant_strict=False):
+def is_minimal_strong_lasso(tree, cords, max_leaves=6):
     """Strong lasso such that no single-cord deletion stays one."""
     cords = frozenset(cords)
     v = matroid.verdict(tree, cords)
     if not v.lasso:
         return False
-    if not is_topological_lasso(tree, cords, max_leaves=max_leaves,
-                                pendant_strict=pendant_strict):
+    if not is_topological_lasso(tree, cords, max_leaves=max_leaves):
         return False
     full = len(tree.edge_ids)
     for c in sorted(cords):
         smaller = cords - {c}
         if matroid.rank_of(tree, smaller) < full:
             continue
-        if is_topological_lasso(tree, smaller, max_leaves=max_leaves,
-                                pendant_strict=pendant_strict):
+        if is_topological_lasso(tree, smaller, max_leaves=max_leaves):
             return False
     return True
 
@@ -338,7 +338,7 @@ class TopologicalRankReport:
     exists_hyperplane_rank_topological: bool | None
 
 
-def topological_rank_structure(tree, cords, max_leaves=6, pendant_strict=False):
+def topological_rank_structure(tree, cords, max_leaves=6):
     """Verify the structure forced on rank-deficient topological lassos.
 
     When the given set is a topological lasso of less-than-full rank, checks
@@ -356,8 +356,7 @@ def topological_rank_structure(tree, cords, max_leaves=6, pendant_strict=False):
     full = len(tree.edge_ids)
     r = matroid.rank_of(tree, cords)
     try:
-        topological = is_topological_lasso(tree, cords, max_leaves=max_leaves,
-                                           pendant_strict=pendant_strict)
+        topological = is_topological_lasso(tree, cords, max_leaves=max_leaves)
     except ScaleBoundError:
         topological = None
     all_proper = all(proper for _c, proper in tree.cherries())
@@ -376,8 +375,7 @@ def topological_rank_structure(tree, cords, max_leaves=6, pendant_strict=False):
             bigger = cords | {c}
             if matroid.rank_of(tree, bigger) != full:
                 raise AssertionError("non-bipartite extension is not an edge-weight lasso")
-            if not is_topological_lasso(tree, bigger, max_leaves=max_leaves,
-                                        pendant_strict=pendant_strict):
+            if not is_topological_lasso(tree, bigger, max_leaves=max_leaves):
                 raise AssertionError("non-bipartite extension is not a topological lasso")
         conclusions_checked = True
 
@@ -388,8 +386,7 @@ def topological_rank_structure(tree, cords, max_leaves=6, pendant_strict=False):
         try:
             for side_a, side_b in leaf_bipartitions(tree.leaves):
                 two_sided = cross_cords(side_a, side_b)
-                if not is_topological_lasso(tree, two_sided, max_leaves=max_leaves,
-                                            pendant_strict=pendant_strict):
+                if not is_topological_lasso(tree, two_sided, max_leaves=max_leaves):
                     continue
                 exists_bip = True
                 rr = matroid.rank_of(tree, two_sided)

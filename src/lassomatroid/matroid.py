@@ -18,11 +18,6 @@ from .exact import RowSpace
 from .tree import all_cords
 
 
-def path_vector(tree, c):
-    """0/1 edge-incidence vector of the cord's leaf-to-leaf path."""
-    return tree.path_vector(c)
-
-
 def rank_of(tree, cords, packed=None):
     """Rank of the stacked path vectors of the given cords.
 

@@ -280,9 +280,6 @@ class XTree:
             self._canonical = self._fold(make)
         return self._canonical
 
-    def equivalent_to(self, other):
-        return are_equivalent(self, other)
-
     def to_newick(self, weighting=None):
         """Canonical Newick text; optional exact weights rendered as p/q."""
         if weighting is not None and set(weighting) != set(self._edges):

@@ -139,6 +139,17 @@ def test_lasso_noncover_decided_beyond_the_scale_bound(tmp_path, capsys):
     assert "undecided at this scale" in err
 
 
+def test_lasso_rejects_the_removed_pendant_flag(tmp_path, capsys):
+    # positive and non-negative pendant weights give the same verdicts, so
+    # the decider has no pendant rule to choose
+    path = write_cords(tmp_path, "a c\na d\nb c\nb d\n")
+    code, out, err = run(capsys, "lasso", "--newick", QUARTET, "--cords", path,
+                         "--pendant-strict")
+    assert code == 2
+    assert out == ""
+    assert "--pendant-strict" in err
+
+
 def test_enumeration_bounds_exit_3_until_max_leaves_lifts_them(capsys):
     star7 = "(a,b,c,d,e,f,g);"
     code, _out, err = run(capsys, "binary-check", "--newick", star7)

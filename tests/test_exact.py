@@ -259,12 +259,11 @@ def _pairs(rows):
 
 
 def test_feasible_agrees_with_vertex_oracle_on_four_leaf_agreement_systems():
-    # Every ordered pair of distinct 4-leaf shapes, both pendant rules, and
-    # two cord sets: all six cords (never feasible) and the two-sided set of
-    # ac|bd (feasible for some pairs and not for others).  An agreement system
-    # is a cone in which every variable is sign-constrained and at least one
-    # is strict (one of the two shapes is binary), so it is feasible exactly
-    # when it is with sum(w) == 1, which bounds it: the oracle needs no box.
+    # Every ordered pair of distinct 4-leaf shapes and two cord sets: all six
+    # cords (never feasible) and the two-sided set of ac|bd (feasible for some
+    # pairs and not for others).  An agreement system is a cone in which every
+    # variable is strict, so it is feasible exactly when it is with
+    # sum(w) == 1, which bounds it: the oracle needs no box.
     import lassomatroid as lm
     from lassomatroid import lasso
 
@@ -276,16 +275,15 @@ def test_feasible_agrees_with_vertex_oracle_on_four_leaf_agreement_systems():
             if shape.canonical_form() == tree.canonical_form():
                 continue
             for cords in cord_sets:
-                for pendant_strict in (False, True):
-                    system = lasso._agreement_system(shape, tree, cords, pendant_strict)
-                    got = feasible(system)
-                    normalise = ([1] * system.nvars, 1)
-                    want = oracles.vertex_feasible(
-                        _pairs(system.equalities) + [normalise],
-                        _pairs(system.strict_inequalities),
-                        _pairs(system.weak_inequalities), box=None)
-                    assert got == want, (shape.to_newick(), tree.to_newick(), cords, pendant_strict)
-                    verdicts.add(got)
+                system = lasso._agreement_system(shape, tree, cords)
+                got = feasible(system)
+                normalise = ([1] * system.nvars, 1)
+                want = oracles.vertex_feasible(
+                    _pairs(system.equalities) + [normalise],
+                    _pairs(system.strict_inequalities),
+                    _pairs(system.weak_inequalities), box=None)
+                assert got == want, (shape.to_newick(), tree.to_newick(), cords)
+                verdicts.add(got)
     assert verdicts == {True, False}
 
 

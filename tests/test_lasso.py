@@ -87,7 +87,7 @@ def test_pointed_cover_order_depends_on_the_splits_alone():
         "(((a,b),(c,d)),((e,f),(g,h)),((i,j),((k,l),(m,n))));").restrict(set("abcdefghijkl"))
     assert len(big.interior_vertices) == 10
     for t, same in ((six, rerooted), (six, restricted), (big, big_restricted)):
-        assert t.equivalent_to(same) and t.interior_vertices != same.interior_vertices
+        assert lm.are_equivalent(t, same) and t.interior_vertices != same.interior_vertices
         for x in t.leaves:
             assert sequence(t, x) == sequence(same, x)
 
@@ -128,16 +128,32 @@ def test_topological_matches_split_characterization():
                 assert topological == lasso.is_t_cover(t, two)
 
 
-def exhaustive_topological(tree, cords, pendant_strict):
+def paper_agreement_system(shape, tree, cords):
+    """Weightings of both trees, positive on interior edges and non-negative on
+    pendant edges as in the paper, that agree on the cords."""
+    edges = [(t, eid) for t in (shape, tree) for eid in t.edge_ids]
+    equalities = [([*shape.path_vector(c), *(-x for x in tree.path_vector(c))], 0)
+                  for c in sorted(cords)]
+    strict, weak = [], []
+    for col, (t, eid) in enumerate(edges):
+        row = [int(i == col) for i in range(len(edges))]
+        (strict if t.is_interior_edge(eid) else weak).append((row, 0))
+    return lm.LinearSystem(equalities=equalities, strict_inequalities=strict,
+                           weak_inequalities=weak)
+
+
+def exhaustive_topological(tree, cords):
     """No competing shape on the same leaves can agree with the tree on the cords."""
     own = tree.canonical_form()
     return not any(
         shape.canonical_form() != own
-        and lm.feasible(lasso._agreement_system(shape, tree, cords, pendant_strict))
+        and lm.feasible(paper_agreement_system(shape, tree, cords))
         for shape in lm.enumerate_xtrees(tree.leaves))
 
 
 def test_pruned_decider_matches_exhaustive_shape_search(monkeypatch):
+    # the reference allows zero pendant weights, the decider does not: adding
+    # c > 0 to every pendant edge adds 2c to every cord in both trees
     monkeypatch.setattr(lasso, "_topological_memo", {})
     cases = []
     every = sorted(lm.all_cords(letters(4)))
@@ -151,11 +167,9 @@ def test_pruned_decider_matches_exhaustive_shape_search(monkeypatch):
         cases.append((rng.choice(trees_on(5)), frozenset(c for c in every if rng.random() < p)))
     seen = set()
     for t, sub in cases:
-        for strict in (False, True):
-            want = exhaustive_topological(t, sub, strict)
-            assert lm.is_topological_lasso(t, sub, pendant_strict=strict) == want, \
-                (t, sorted(sub), strict)
-            seen.add((t.n_leaves, want))
+        want = exhaustive_topological(t, sub)
+        assert lm.is_topological_lasso(t, sub) == want, (t, sorted(sub))
+        seen.add((t.n_leaves, want))
     assert seen == {(4, False), (4, True), (5, False), (5, True)}
 
 
@@ -193,10 +207,8 @@ def test_search_alone_rejects_every_noncover(monkeypatch):
     monkeypatch.setattr(lasso, "feasible", lambda *a, **k: searched.append(1) or real(*a, **k))
     monkeypatch.setattr(lasso, "is_t_cover", lambda tree, cords: True)
     for t, sub in cases:
-        for strict in (False, True):
-            monkeypatch.setattr(lasso, "_topological_memo", {})
-            assert not lm.is_topological_lasso(t, sub, pendant_strict=strict), \
-                (t, sorted(sub), strict)
+        monkeypatch.setattr(lasso, "_topological_memo", {})
+        assert not lm.is_topological_lasso(t, sub), (t, sorted(sub))
     assert searched
 
 
@@ -217,11 +229,9 @@ def test_noncovers_never_reach_feasibility(monkeypatch):
                     if lasso.is_t_cover(t, sub):
                         assert len(analyze(t.leaves, sub).components) == 1, (t, sorted(sub))
                     else:
-                        for strict in (False, True):
-                            assert not lm.is_topological_lasso(t, sub, pendant_strict=strict)
+                        assert not lm.is_topological_lasso(t, sub)
     for t, sub in noncover_sample():
-        for strict in (False, True):
-            assert not lm.is_topological_lasso(t, sub, pendant_strict=strict)
+        assert not lm.is_topological_lasso(t, sub)
 
 
 def test_noncover_decided_beyond_the_scale_bound():
@@ -242,12 +252,6 @@ def test_topological_variable_cap_follows_the_leaf_bound():
         two = lm.cross_cords(side_a, side_b)
         assert lm.is_topological_lasso(t, two, max_leaves=8) \
             == lasso.split_check(t, set(side_a), set(side_b))
-
-
-def test_pendant_strict_toggle_weakens_nothing(quartet):
-    for sub in (lm.cross_cords("ac", "bd"), lm.all_cords("abcd"), cords("ab", "cd")):
-        if lm.is_topological_lasso(quartet, sub):
-            assert lm.is_topological_lasso(quartet, sub, pendant_strict=True)
 
 
 # -- aggregate reports ---------------------------------------------------------------

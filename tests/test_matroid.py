@@ -11,8 +11,8 @@ from lassomatroid.tree import hang_leaf
 
 
 def test_path_vector_quartet(quartet):
-    vec_ab = matroid.path_vector(quartet, lm.cord("a", "b"))
-    vec_ac = matroid.path_vector(quartet, lm.cord("a", "c"))
+    vec_ab = quartet.path_vector(lm.cord("a", "b"))
+    vec_ac = quartet.path_vector(lm.cord("a", "c"))
     assert sum(vec_ab) == 2
     assert sum(vec_ac) == 3
     central_col = quartet.edge_column[quartet.interior_edge_ids[0]]
@@ -22,7 +22,7 @@ def test_path_vector_quartet(quartet):
 
 def test_path_vector_star(star4):
     for c in lm.all_cords("abcd"):
-        assert sum(matroid.path_vector(star4, c)) == 2
+        assert sum(star4.path_vector(c)) == 2
 
 
 def test_rank_of_examples(quartet, star4):
@@ -30,7 +30,7 @@ def test_rank_of_examples(quartet, star4):
     assert matroid.rank_of(quartet, ()) == 0
     assert matroid.rank_of(star4, cords("ab", "bc", "ca")) == 3
     # cross-checked against the minor oracle on the explicit matrix
-    rows = [matroid.path_vector(star4, c) for c in sorted(cords("ab", "bc", "ca"))]
+    rows = [star4.path_vector(c) for c in sorted(cords("ab", "bc", "ca"))]
     assert oracles.minor_rank(rows) == 3
 
 
