@@ -9,7 +9,10 @@ set in one pass; for a t-cover it grows competing tree shapes leaf by leaf,
 pruned by exact linear feasibility.
 The paper's weightings are positive on interior edges and non-negative on
 pendant edges.  The decider asks only whether weightings positive on every
-edge agree, which gives the same verdicts (see ``_agreement_system``).
+edge agree, which gives the same verdicts, and its systems hold the two
+pendant weights of a leaf as one free difference, so sign rows and
+Fourier-Motzkin cover the interior edges alone (both proven in
+``_agreement_system``).
 """
 
 from __future__ import annotations
@@ -118,18 +121,48 @@ def pointed_covers(tree, leaf):
 def _agreement_system(shape, tree, cords):
     """Feasibility system: positive weightings of both trees agree on the cords.
 
+    Both trees are on the same leaves.  The variables are one free
+    difference d_x per leaf x, in the first columns, then the interior edges
+    of ``shape``, then those of ``tree``.  A cord x-y gives the row
+    d_x + d_y + (shape's interior path) - (tree's interior path) = 0, and
+    only the interior variables get strict sign rows.
+
     The paper lets pendant edges weigh 0.  That changes no verdict: positive
     weightings are among the paper's, and adding a constant c > 0 to every
     pendant edge of both trees keeps the interior weights and makes every
     pendant weight positive; since every leaf-to-leaf path crosses exactly
     two pendant edges, every cord's distance grows by 2c in both trees, so
     agreement is kept.
+
+    By the same fact the pendant edge p_x of ``shape`` and q_x of ``tree``
+    enter the cord x-y only through p_x - q_x, so agreeing positive
+    weightings give a solution d_x = p_x - q_x here.  Conversely any real d_x
+    is p_x - q_x for some p_x, q_x > 0 (p_x = |d_x| + 1, q_x = p_x - d_x), so
+    a solution here gives agreeing weightings positive on every edge.  This
+    system is feasible exactly when the one with a variable for every edge
+    of both trees is.
+
+    In ``feasible`` no inequality ever mentions a d: ``RowSpace`` pivots on
+    a row's lowest nonzero column, so a stored row whose pivot is an
+    interior variable is zero in every d column, and substituting into the
+    sign rows, which are zero there too, never brings a d in.  So
+    Fourier-Motzkin combines rows over at most 2(n - 3) interior variables
+    for n leaves.
     """
-    nvars = len(shape.edge_ids) + len(tree.edge_ids)
-    equalities = [([*shape.path_vector(c), *(-x for x in tree.path_vector(c))], 0)
-                  for c in sorted(cords)]
+    n = shape.n_leaves
+    bit = {x: i for i, x in enumerate(shape.leaves)}
+    shape_splits, tree_splits = shape.interior_splits, tree.interior_splits
+    nvars = n + len(shape_splits) + len(tree_splits)
+    equalities = []
+    for x, y in sorted(cords):
+        a, b = bit[x], bit[y]
+        row = [0] * n
+        row[a] = row[b] = 1
+        row += [(m >> a ^ m >> b) & 1 for m in shape_splits]
+        row += [-((m >> a ^ m >> b) & 1) for m in tree_splits]
+        equalities.append((row, 0))
     strict = []
-    for col in range(nvars):
+    for col in range(n, nvars):
         row = [0] * nvars
         row[col] = 1
         strict.append((row, 0))
@@ -203,9 +236,9 @@ def is_topological_lasso(tree, cords, max_leaves=6):
         sub, form, inside = levels[prefix.n_leaves]
         if prefix.canonical_form() == form:
             return prefix.n_leaves < len(order)   # the tree itself is no competitor
-        # each tree of the system has at most 2 * max_leaves - 3 edges
+        # max_leaves differences, and at most max_leaves - 3 interior edges a tree
         return feasible(_agreement_system(prefix, sub, inside),
-                        max_variables=2 * (2 * max_leaves - 3))
+                        max_variables=3 * max_leaves - 6)
 
     result = next(grow(star_tree(order[:3]), order[3:], keep=can_agree), None) is None
     _topological_memo[key] = result

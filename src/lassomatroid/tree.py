@@ -215,6 +215,17 @@ class XTree:
             self._vectors[c] = vec
         return vec
 
+    @property
+    def interior_splits(self):
+        """The splits of the interior edges, in column order.
+
+        Each is the bitmask, over the sorted labels, of the edge's side away
+        from the first leaf.  The split table holds every edge's side below
+        it; a pendant edge's is its one leaf, a power of two, and an interior
+        edge's holds at least two leaves.
+        """
+        return tuple(mask for mask in self._below if mask & (mask - 1))
+
     def distance(self, weighting, c):
         """Path sum of edge weights between the two leaves of the cord."""
         if set(weighting) != set(self._edges):

@@ -253,17 +253,14 @@ def test_feasible_unit_quartet_distances_reject_crossed_tree():
     assert not oracles.vertex_feasible(equalities, strict, weak)
 
 
-def _pairs(rows):
-    """A LinearSystem's stored [*row, rhs] lists as (row, rhs) pairs."""
-    return [(row[:-1], row[-1]) for row in rows]
-
-
 def test_feasible_agrees_with_vertex_oracle_on_four_leaf_agreement_systems():
     # Every ordered pair of distinct 4-leaf shapes and two cord sets: all six
     # cords (never feasible) and the two-sided set of ac|bd (feasible for some
-    # pairs and not for others).  An agreement system is a cone in which every
-    # variable is strict, so it is feasible exactly when it is with
-    # sum(w) == 1, which bounds it: the oracle needs no box.
+    # pairs and not for others).  The oracle decides the unreduced system, a
+    # variable for every edge of both trees and all of them strict; it is a
+    # cone, so it is feasible exactly when it is with sum(w) == 1, which
+    # bounds it: the oracle needs no box.  ``feasible`` decides the decider's
+    # system, in which each leaf's two pendant edges are one free difference.
     import lassomatroid as lm
     from lassomatroid import lasso
 
@@ -274,14 +271,14 @@ def test_feasible_agrees_with_vertex_oracle_on_four_leaf_agreement_systems():
         for tree in shapes:
             if shape.canonical_form() == tree.canonical_form():
                 continue
+            nvars = len(shape.edge_ids) + len(tree.edge_ids)
+            units = [[int(i == col) for i in range(nvars)] for col in range(nvars)]
             for cords in cord_sets:
-                system = lasso._agreement_system(shape, tree, cords)
-                got = feasible(system)
-                normalise = ([1] * system.nvars, 1)
+                equalities = [([*shape.path_vector(c), *(-x for x in tree.path_vector(c))], 0)
+                              for c in sorted(cords)]
                 want = oracles.vertex_feasible(
-                    _pairs(system.equalities) + [normalise],
-                    _pairs(system.strict_inequalities),
-                    _pairs(system.weak_inequalities), box=None)
+                    equalities + [([1] * nvars, 1)], [(row, 0) for row in units], [], box=None)
+                got = feasible(lasso._agreement_system(shape, tree, cords))
                 assert got == want, (shape.to_newick(), tree.to_newick(), cords)
                 verdicts.add(got)
     assert verdicts == {True, False}

@@ -152,8 +152,10 @@ def exhaustive_topological(tree, cords):
 
 
 def test_pruned_decider_matches_exhaustive_shape_search(monkeypatch):
-    # the reference allows zero pendant weights, the decider does not: adding
-    # c > 0 to every pendant edge adds 2c to every cord in both trees
+    # the reference has a variable for every edge and allows zero pendant
+    # weights; the decider takes each leaf's two pendant weights as one free
+    # difference, and the proof that this keeps the verdicts is in
+    # lasso._agreement_system
     monkeypatch.setattr(lasso, "_topological_memo", {})
     cases = []
     every = sorted(lm.all_cords(letters(4)))
@@ -245,13 +247,41 @@ def test_noncover_decided_beyond_the_scale_bound():
     assert report.topological is False and report.strong is False
 
 
-def test_topological_variable_cap_follows_the_leaf_bound():
-    # 8 leaves give agreement systems of 26 variables; the leaf bound admits them
+def test_seven_leaf_caterpillar_cover_is_decided():
+    # a minimal t-cover of the 7-leaf caterpillar whose agreement systems over
+    # every edge of both trees overran the Fourier-Motzkin row limit
+    t = lm.tree_from_newick("((((((a,b),c),d),e),f),g);")
+    cover = cords("ab", "ac", "ag", "bd", "ce", "de", "ef", "fg")
+    assert lasso.is_t_cover(t, cover)
+    assert lm.is_topological_lasso(t, cover, max_leaves=7) is False
+    # the witness: a competing shape and the tree, positive on every edge,
+    # with equal distances on all 8 cords
+    shape, w_shape = lm.parse_newick("((((c:3,g:2):1,f:3):3,(b:1,e:2):1):1,a:3,d:1);")
+    tree, w_tree = lm.parse_newick("(((((f:5,g:1):1,e:3):1,d:1):1,c:5):1,a:5,b:1);")
+    assert lm.are_equivalent(tree, t) and not lm.are_equivalent(shape, t)
+    assert all(isinstance(w, Fraction) and w > 0 for w in [*w_shape.values(), *w_tree.values()])
+    for c in cover:
+        assert shape.distance(w_shape, c) == tree.distance(w_tree, c)
+
+
+def test_topological_variable_cap_follows_the_leaf_bound(monkeypatch):
+    # 8 leaves give agreement systems of up to 8 + 5 + 5 = 18 variables, the
+    # cap 3 * 8 - 6; the leaf bound admits them, and the widest reach it
+    monkeypatch.setattr(lasso, "_topological_memo", {})
+    seen = []
+
+    def recording(system, max_variables):
+        seen.append((system.nvars, max_variables))
+        return lm.feasible(system, max_variables=max_variables)
+
+    monkeypatch.setattr(lasso, "feasible", recording)
     t = lm.tree_from_newick("(((a,b),(c,d)),((e,f),(g,h)));")
     for side_a, side_b in (("aceg", "bdfh"), ("abcd", "efgh")):
         two = lm.cross_cords(side_a, side_b)
         assert lm.is_topological_lasso(t, two, max_leaves=8) \
             == lasso.split_check(t, set(side_a), set(side_b))
+    assert {cap for _, cap in seen} == {18}
+    assert max(nvars for nvars, _ in seen) == 18
 
 
 # -- aggregate reports ---------------------------------------------------------------

@@ -10,16 +10,6 @@ from helpers import cords, letters, trees_on
 from lassomatroid.tree import hang_leaf
 
 
-def test_path_vector_quartet(quartet):
-    vec_ab = quartet.path_vector(lm.cord("a", "b"))
-    vec_ac = quartet.path_vector(lm.cord("a", "c"))
-    assert sum(vec_ab) == 2
-    assert sum(vec_ac) == 3
-    central_col = quartet.edge_column[quartet.interior_edge_ids[0]]
-    assert vec_ab[central_col] == 0
-    assert vec_ac[central_col] == 1
-
-
 def test_path_vector_star(star4):
     for c in lm.all_cords("abcd"):
         assert sum(star4.path_vector(c)) == 2
