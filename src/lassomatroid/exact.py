@@ -62,7 +62,8 @@ class RowSpace:
     identity tails it holds the combination of inserted rows, with a
     right-hand side it holds the reduced constant.  ``add`` appends a new
     pivot row when the rank of the main part grows and ``pop`` undoes it for
-    depth-first backtracking.
+    depth-first backtracking; ``advance`` brings a search's carried
+    residuals over the newest row by one step each.
 
     Packed layout.  A row is the int ``sum(e[j] << W*j)``: column ``j``
     (main columns first, then the tail) is a signed W-bit field.  Packing
@@ -118,10 +119,9 @@ class RowSpace:
         self._half = half
         self._bias = int.from_bytes(half.to_bytes(size, "little") * width, "little")
         self._main = (1 << (w * ncols)) - 1
-        # Per stored row: [packed row, bit offset s of its pivot field, the
+        # Per stored row: (packed row, bit offset s of its pivot field, the
         # mask of the bits below s + W, pivot entry a, then k and q with
-        # a == q * 2**k and q odd, then its entries once the annihilator has
-        # unpacked them].
+        # a == q * 2**k and q odd).
         self._stack = []
 
     @property
@@ -189,7 +189,7 @@ class RowSpace:
         bias, half = self._bias, self._half
         x += bias
         d, k, q = 1, 0, 1
-        for r, s, low, a, ak, aq, _ in self._stack:
+        for r, s, low, a, ak, aq in self._stack:
             c = (x & low) >> s
             if c != half:
                 x = a * (x - bias) - (c - half) * r
@@ -200,6 +200,34 @@ class RowSpace:
                 x += bias
                 d, k, q = a, ak, aq
         return x - bias, d
+
+    def advance(self, carried):
+        """Bring carried residuals over the newest stored row by one step.
+
+        ``carried`` holds ``(key, residual, divisor)`` triples, each pair as
+        ``reduce`` returned it before the last ``add``, with a nonzero main
+        part.  One Bareiss step with the newest row, whose division by the
+        pair's divisor is exact, makes each pair the one ``reduce`` returns
+        now, reached by the same steps in the same order, so its entries are
+        still minors.  Returns ``(kept, vanished)``: the triples, in order,
+        whose main part is still nonzero, and those whose main part is now
+        zero.  A vanished residual never changes again, since every pivot is
+        a main column.
+        """
+        r, s, low, a, _, _ = self._stack[-1]
+        bias, half, main = self._bias, self._half, self._main
+        kept, vanished = [], []
+        for entry in carried:
+            key, x, d = entry
+            c = ((x + bias) & low) >> s
+            if c != half:
+                x = (a * x - (c - half) * r) // d
+                entry = key, x, a
+                if not x & main:
+                    vanished.append(entry)
+                    continue
+            kept.append(entry)
+        return kept, vanished
 
     def contains(self, row):
         """Whether the main part of ``row`` lies in the span of the stored rows."""
@@ -224,7 +252,7 @@ class RowSpace:
         s -= s % self._w
         lead = ((row >> s) + self._half & self._field) - self._half
         k = (lead & -lead).bit_length() - 1
-        stack.append([row, s, (1 << (s + self._w)) - 1, lead, k, lead >> k, None])
+        stack.append((row, s, (1 << (s + self._w)) - 1, lead, k, lead >> k))
         return True
 
     def pop(self):
@@ -241,11 +269,8 @@ class RowSpace:
         other coordinate is an integer minor.  Back-substitution from the
         last row to the first solves for each row's pivot coordinate by an
         exact division, since a row is zero at every earlier pivot; the last
-        row is zero at every main column but its pivot.  A stored row's
-        entries are unpacked once and kept while it stays, so a depth-first
-        search that changes only its last rows unpacks little.  A row lies
-        in the span of the stored rows iff its product with the functional
-        is 0.
+        row is zero at every main column but its pivot.  A row lies in the
+        span of the stored rows iff its product with the functional is 0.
         """
         if self.width != self.ncols + 1:
             raise ValueError(f"annihilator needs a one-wide tail, not {self.width - self.ncols}")
@@ -256,10 +281,8 @@ class RowSpace:
         n = [0] * self.width
         n[-1] = a
         n[s // w] = self._half - ((x + self._bias) >> (w * self.ncols) & self._field)
-        for entry in self._stack[-2::-1]:
-            if entry[6] is None:
-                entry[6] = self.unpack(entry[0])
-            n[entry[1] // w] = -sum(map(mul, entry[6], n)) // entry[3]
+        for r, s, _, a, _, _ in self._stack[-2::-1]:
+            n[s // w] = -sum(map(mul, self.unpack(r), n)) // a
         return n
 
 

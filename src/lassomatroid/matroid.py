@@ -122,39 +122,70 @@ def circuits(tree, max_size=None, max_leaves=7):
 def _basis_dfs(rows, tail=0):
     """Depth-first search for the bases among ``rows``, which must span.
 
-    A row holds main entries, then ``tail`` carried ones.  One backward
-    pass first records ``reach[i]``, the rank of ``rows[i:]``; a prefix
-    stops at the first ``i`` whose ``reach[i]`` is below the number of rows
-    it still lacks, since no basis lies past that point.  The rows are
-    packed once, and both spaces take the packed ints.  At each basis the
-    search yields its chosen indices (a list, increasing) and its live
-    ``RowSpace``, both valid only until the generator is resumed.
+    A row holds main entries, then ``tail`` carried ones, and its main part
+    must be nonzero; a basis is a set of rows whose main parts are a basis
+    of their span.  The rows are packed once.  Each node hands its children
+    the residual of every later candidate over the chosen rows, so storing
+    a chosen row costs each candidate one Bareiss step
+    (``RowSpace.advance``), not a full ``reduce``, and a candidate whose
+    main part vanishes is dropped.  A node yields a basis iff its chosen
+    rows and candidates together span.  So two prunings skip only subtrees
+    that hold none, and the yield order is that of the plain search: a node
+    stops when fewer candidates are left than the rows it lacks, and once a
+    child yields nothing it skips that child's later siblings, whose rows
+    are a subset of the child's.
+
+    At each basis C the search yields its chosen indices (a list,
+    increasing, valid only until the generator is resumed) and the indices
+    ``i``, increasing, for which C + i spans the full rows and the search
+    meets C + i here first.  These are the candidates dropped on the path
+    to C with a nonzero tail residual:
+
+    - The search meets bases in lexicographic order of their index lists,
+      so of the bases inside B = C + i it meets the lexicographically least
+      first, and that is the greedy basis of B (Gale 1968).
+    - The greedy basis of C + i is C exactly when the main part of row i
+      lies in the span of the rows of C before it, that is, when the
+      search drops candidate i on the path to C.
+    - A dropped residual is zero at every main column, so no later pivot
+      changes it, and C + i spans the full rows iff its tail is nonzero.
+
+    Without a tail every dropped residual is zero, so that list is empty.
     """
-    ncols = len(rows[0]) - tail
-    space = RowSpace(ncols, tail=tail)
-    rows = [space.pack(row) for row in rows]
-    suffix = RowSpace(ncols, tail=tail)
-    reach = [0] * len(rows)
-    for i in range(len(rows) - 1, -1, -1):
-        suffix.add(rows[i])
-        reach[i] = suffix.rank
-    chosen = []
-
-    def extend(start):
-        need = ncols - len(chosen)
+    space = RowSpace(len(rows[0]) - tail, tail=tail)
+    # The search walks its tree with an explicit path, so a basis is yielded
+    # from this frame, not passed up through one generator per level.  Per
+    # ancestor, the path keeps its candidates, the position of the next one
+    # to try, the length of ``joins`` and the count of bases found.
+    chosen, path = [], []
+    # Dropped candidates with a nonzero tail on the current path.
+    joins = []
+    carried = [(i, space.pack(row), 1) for i, row in enumerate(rows)]
+    found = p = 0
+    while True:
+        need = space.ncols - len(chosen)
         if not need:
-            yield chosen, space
+            found += 1
+            yield chosen, sorted(joins)
+        elif len(carried) - p >= need:
+            i, residual, divisor = carried[p]
+            space.add(residual, divisor)
+            chosen.append(i)
+            path.append((carried, p + 1, len(joins), found))
+            # Without a tail, a last row leaves its child nothing to use.
+            if tail or need > 1:
+                carried, vanished = space.advance(carried[p + 1:])
+                joins += [j for j, res, _ in vanished if res]
+            p = 0
+            continue
+        if not path:
             return
-        for i in range(start, len(rows)):
-            if reach[i] < need:
-                break
-            if space.add(rows[i]):
-                chosen.append(i)
-                yield from extend(i + 1)
-                chosen.pop()
-                space.pop()
-
-    yield from extend(0)
+        carried, p, depth, before = path.pop()
+        if found == before:   # a dead child: so are its later siblings
+            p = len(carried)
+        del joins[depth:]
+        chosen.pop()
+        space.pop()
 
 
 def bases(tree, max_leaves=7):
@@ -220,10 +251,13 @@ def contraction_bases(tree, f, max_leaves=7):
     """Bases of the tree, generated from the bases of the tree with ``f`` collapsed.
 
     The basis search runs on the collapsed tree's rows with their f-tails
-    (see ``contraction_extends``).  At each collapsed basis the search's own
-    space gives the annihilator of its rows once; every other cord joins
-    when its row has a nonzero product with it, each result once.  Together
-    they are ``bases(tree)``.
+    (see ``contraction_extends``).  At each collapsed basis C it also
+    yields the cords i, increasing, for which C + i is a basis of the tree
+    met there first: i's collapsed row lies in the span of the cords of C
+    before it, so C is the greedy (lexicographically least) collapsed basis
+    inside C + i, and i's residual over C has a nonzero f-tail (proof at
+    ``_basis_dfs``).  Every basis of the tree holds a collapsed basis, so
+    each is yielded exactly once, and together they are ``bases(tree)``.
     """
     if not tree.is_interior_edge(f):
         raise ValueError(f"edge {f} is pendant; collapse needs an interior edge")
@@ -231,17 +265,10 @@ def contraction_bases(tree, f, max_leaves=7):
         raise ScaleBoundError(
             f"{tree.n_leaves} leaves exceeds the basis-enumeration bound of {max_leaves}")
     cords = sorted(all_cords(tree.leaves))
-    rows = _collapse_rows(tree, f, cords)
-    seen = set()
-    for chosen, space in _basis_dfs(rows, tail=1):
+    for chosen, joins in _basis_dfs(_collapse_rows(tree, f, cords), tail=1):
         base = [cords[i] for i in chosen]
-        functional = space.annihilator()
-        for i, row in enumerate(rows):
-            if i not in chosen and sum(map(mul, row, functional)):
-                extended = frozenset([*base, cords[i]])
-                if extended not in seen:
-                    seen.add(extended)
-                    yield extended
+        for i in joins:
+            yield frozenset([*base, cords[i]])
 
 
 def restriction_rank(tree, labels, cords):

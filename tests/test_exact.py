@@ -120,6 +120,32 @@ def test_rowspace_tail_rides_along_and_width_is_checked():
         space.contains([1, 0, 0, 0])
 
 
+def test_rowspace_advance_gives_the_pairs_reduce_returns():
+    # Carried rows stepped over each new row by ``advance`` must stay the
+    # exact (residual, divisor) of ``reduce``, so their entries stay minors;
+    # a row whose main part vanished must not change under later rows.
+    rng = random.Random(19)
+    for case in range(400):
+        tail = case % 2
+        ncols = rng.randint(1, 6)
+        rows = [[rng.choice((-1, 0, 1)) for _ in range(ncols + tail)]
+                for _ in range(rng.randint(1, 9))]
+        space = RowSpace(ncols, tail=tail)
+        carried = [(i, space.pack(row), 1) for i, row in enumerate(rows)
+                   if not space.contains(row)]
+        dropped = []
+        while carried:
+            _, residual, divisor = carried.pop(rng.randrange(len(carried)))
+            assert space.add(residual, divisor)
+            carried, vanished = space.advance(carried)
+            dropped += vanished
+            for i, residual, divisor in carried + dropped:
+                assert (residual, divisor) == space.reduce(rows[i])
+            assert not any(space.contains(rows[i]) for i, _, _ in carried)
+            assert all(space.contains(rows[i]) for i, _, _ in dropped)
+        assert space.rank == rank([row[:ncols] for row in rows])
+
+
 def test_rowspace_refuses_entries_beyond_its_bound_and_never_wraps_them():
     space = RowSpace(2, tail=1)
     assert space.add([1, 1, 0])

@@ -298,6 +298,21 @@ def test_contraction_bases_equal_direct_bases_n5():
             assert set(matroid.contraction_bases(t, f)) == direct
 
 
+def test_contraction_bases_yield_each_basis_once_on_the_seven_leaf_caterpillar():
+    # Beyond five leaves no oracle checks the first-visit rule that replaced
+    # a set of the bases already yielded; the 3|4 split is the deepest here.
+    t = lm.caterpillar_tree(letters(7))
+    direct = set(matroid.bases(t))
+    assert len(direct) == 14400
+    smaller = []
+    for f in t.interior_edge_ids:
+        smaller.append(min(len(t.side(f, v)) for v in t.edges[f]))
+        rebuilt = list(matroid.contraction_bases(t, f))
+        assert len(rebuilt) == len(set(rebuilt))
+        assert set(rebuilt) == direct
+    assert sorted(smaller) == [2, 2, 3, 3]
+
+
 def test_contraction_bases_rejects_pendant(quartet):
     with pytest.raises(ValueError):
         next(iter(matroid.contraction_bases(quartet, quartet.pendant_edge("a"))))
