@@ -299,8 +299,8 @@ def test_contraction_bases_equal_direct_bases_n5():
 
 
 def test_contraction_bases_yield_each_basis_once_on_the_seven_leaf_caterpillar():
-    # Beyond five leaves no oracle checks the first-visit rule that replaced
-    # a set of the bases already yielded; the 3|4 split is the deepest here.
+    # Beyond five leaves no oracle checks that the collapse route yields each
+    # basis once; every split of the caterpillar is collapsed, 3|4 included.
     t = lm.caterpillar_tree(letters(7))
     direct = set(matroid.bases(t))
     assert len(direct) == 14400
