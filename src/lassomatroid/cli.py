@@ -293,7 +293,7 @@ def _cmd_reconstruct(args):
         source, _ = parse_newick(args.oracle_from)
     else:
         source, _ = _load_tree(args)
-    bound = _max_leaves(args, 8)
+    bound = _max_leaves(args, 24)
     rebuilt = reconstruct.tree_from_oracle(matroid.rank_oracle(source), source.leaves,
                                            max_leaves=bound)
     _emit(args, rebuilt.to_newick(), {"newick": rebuilt.to_newick()})

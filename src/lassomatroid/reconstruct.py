@@ -6,7 +6,7 @@ pairs of the displayed quartet is dependent, the other two are independent,
 and all three are dependent exactly when the four leaves attach at a single
 vertex.  Reading that signature off the rank oracle yields the set of
 displayed quartets, which pins the tree down up to equivalence; the tree is
-then grown leaf by leaf, each placed where the quartets say.
+then built from the clusters those quartets give, in one pass.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import matroid
 from .errors import ScaleBoundError
-from .tree import all_cords, cord, grow, quartet_topology, star_tree
+from .tree import _tree_from_splits, all_cords, cord, quartet_topology
 
 
 def _cycle_with_diagonals(pair1, pair2):
@@ -80,31 +80,46 @@ def quartet_set_from_oracle(rank_oracle, labels):
     return QuartetSet(resolved=frozenset(resolved))
 
 
-def tree_from_oracle(rank_oracle, labels, max_leaves=8):
+def tree_from_oracle(rank_oracle, labels, max_leaves=24):
     """The unique tree whose displayed quartets match the oracle's.
 
-    Grows from the star on the first three labels, keeping a tree only when
-    the quartets through its newest leaf are the oracle's; the others hold
-    already, since removing that leaf gives back the tree it grew from.
-    Quartets determine a tree, so one tree survives or none (not a tree).
+    Reads the oracle's quartets once, then roots the tree at the first label
+    r.  For leaves x, y other than r, a leaf z lies below the last common
+    ancestor of x and y iff {r,x,y,z} is not rz|xy: if z branches off above
+    that ancestor, the edge above it separates xy from rz, and any edge
+    separating xy from rz has that ancestor, so all below it, on the side
+    away from r.  So the cluster {x, y} + {z : {r,x,y,z} is not rz|xy} is the
+    leaf set below that ancestor, and the distinct clusters with 2 to n-2
+    leaves are the tree's interior splits, each on the side without r.  The
+    splits of a tree nest or are disjoint, and nested sets of 2 to n-2 of the
+    n-1 leaves other than r number at most n-3, so any other cluster family
+    is refused.  The clusters read only the quartets through r, so the tree
+    built from them must still display exactly the oracle's quartets: an
+    oracle that is wrong on a quartet without r is refused there.
     """
     labels = sorted(labels)
-    if len(labels) > max_leaves:
+    n = len(labels)
+    if n > max_leaves:
         raise ScaleBoundError(
-            f"{len(labels)} leaves exceeds the recovery bound of {max_leaves}")
-    want = {frozenset(p + q): (p, q)
-            for p, q in quartet_set_from_oracle(rank_oracle, labels).resolved}
-    # the quartets through the k-th label, with the oracle's answer for each
-    through = {k: [(four, want.get(frozenset(four))) for four in
-                   ((*trio, labels[k - 1]) for trio in itertools.combinations(labels[:k - 1], 3))]
-               for k in range(4, len(labels) + 1)}
-
-    def fits(t):
-        return all(quartet_topology(t, four) == w for four, w in through[t.n_leaves])
-
-    tree = next(grow(star_tree(labels[:3]), labels[3:], keep=fits), None)
-    if tree is None:
-        raise ValueError("no tree displays the oracle's quartets")
+            f"{n} leaves exceeds the recovery bound of {max_leaves}")
+    want = quartet_set_from_oracle(rank_oracle, labels)
+    r = labels[0]
+    clusters = set()
+    for x, y in itertools.combinations(labels[1:], 2):
+        # x and y pass too, as no quartet repeats a leaf; bit k is labels[k]
+        mask = sum(1 << k for k, z in enumerate(labels)
+                   if k and ((r, z), (x, y)) not in want.resolved)
+        if mask.bit_count() <= n - 2:
+            clusters.add(mask)
+    if len(clusters) > n - 3 or any(a & b not in (0, a, b)
+                                    for a, b in itertools.combinations(clusters, 2)):
+        raise ValueError(f"no tree displays the oracle's quartets: "
+                         f"their clusters below {r!r} cross")
+    splits = [1 << i for i in range(n)] + sorted(clusters)
+    tree = _tree_from_splits(labels, dict(enumerate(splits)))
+    if quartet_set_of_tree(tree) != want:
+        raise ValueError("no tree displays the oracle's quartets: "
+                         "the tree their clusters give displays others")
     return tree
 
 

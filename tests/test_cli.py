@@ -7,7 +7,7 @@ import os
 from hypothesis import given, settings, strategies as st
 
 from lassomatroid import cli
-from lassomatroid.tree import tree_from_newick
+from lassomatroid.tree import caterpillar_tree, tree_from_newick
 
 QUARTET = "((a,b),(c,d));"
 STAR4 = "(a,b,c,d);"
@@ -175,16 +175,17 @@ def test_internal_error_exit_4(tmp_path, capsys, monkeypatch):
 
 
 def test_max_leaves_env_and_flag(capsys, monkeypatch):
-    nine = "((a,b),(c,d),((e,f),g),(h,i));"
-    code, _out, err = run(capsys, "reconstruct", "--newick", nine)
+    labels = [f"x{i:02d}" for i in range(25)]
+    big = caterpillar_tree(labels).to_newick()
+    code, _out, err = run(capsys, "reconstruct", "--newick", big)
     assert code == 3
-    assert "bound of 8" in err
-    monkeypatch.setenv(cli.ENV_MAX_LEAVES, "9")
-    code, out, _ = run(capsys, "reconstruct", "--newick", nine)
+    assert "bound of 24" in err
+    monkeypatch.setenv(cli.ENV_MAX_LEAVES, "25")
+    code, out, _ = run(capsys, "reconstruct", "--newick", big)
     assert code == 0
-    assert out.strip() == tree_from_newick(nine).to_newick()
+    assert out.strip() == big
     # explicit flag wins over the environment
-    code, _out, err = run(capsys, "reconstruct", "--newick", nine, "--max-leaves", "8")
+    code, _out, err = run(capsys, "reconstruct", "--newick", big, "--max-leaves", "24")
     assert code == 3
 
 

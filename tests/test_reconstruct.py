@@ -1,9 +1,11 @@
 import itertools
+import random
 
 import pytest
 
 import lassomatroid as lm
 from lassomatroid import matroid, reconstruct
+from lassomatroid.tree import hang_leaf, quartet_topology
 from helpers import cords, letters, snowflake, double_star, trees_on
 
 
@@ -50,18 +52,26 @@ def test_tree_from_oracle_roundtrips(quartet, star5):
 
 
 def test_tree_from_oracle_roundtrips_exhaustive_small():
-    for n in (3, 4, 5):
+    for n in (3, 4, 5, 6, 7):
         for t in trees_on(n):
             again = reconstruct.tree_from_oracle(matroid.rank_oracle(t), t.leaves)
-            assert lm.are_equivalent(t, again)
+            assert again.to_newick() == t.to_newick()
 
 
 def test_tree_from_oracle_roundtrips_beyond_six_leaves():
     skewed = lm.tree_from_newick("((a,b,c),d,((e,f),g));")
     assert sorted(skewed.degree(v) for v in skewed.interior_vertices) == [3, 3, 3, 4]
-    for t in (lm.caterpillar_tree("abcdefgh"), lm.star_tree("abcdefgh"), skewed):
+    # 24 leaves is the default bound
+    labels = [f"x{i:02d}" for i in range(24)]
+    rng = random.Random(5)
+    grown = lm.star_tree(labels[:3])
+    for x in labels[3:]:
+        grown = rng.choice(list(hang_leaf(grown, x)))
+    assert not grown.is_binary() and len(grown.interior_vertices) > 1
+    for t in (lm.caterpillar_tree("abcdefgh"), lm.star_tree("abcdefgh"), skewed,
+              lm.caterpillar_tree(labels), lm.star_tree(labels), grown):
         again = reconstruct.tree_from_oracle(matroid.rank_oracle(t), t.leaves)
-        assert lm.are_equivalent(t, again)
+        assert again.to_newick() == t.to_newick()
 
 
 def test_tree_from_oracle_rejects_quartets_no_tree_displays():
@@ -77,6 +87,39 @@ def test_tree_from_oracle_rejects_quartets_no_tree_displays():
     assert len(reconstruct.quartet_set_from_oracle(mixed, "abcde").resolved) == 5
     with pytest.raises(ValueError, match="no tree displays"):
         reconstruct.tree_from_oracle(mixed, "abcde")
+
+
+def test_tree_from_oracle_refuses_exactly_the_quartets_no_tree_displays():
+    # every 5-leaf tree's oracle, with one 4-set read as another tree-like
+    # signature: a tree comes back iff some 5-leaf shape displays the result;
+    # both refusals are reached, the crossing clusters and the final check
+    shapes = trees_on(5)
+    displayed = {reconstruct.quartet_set_of_tree(t): t for t in shapes}
+    refusals = set()
+    for t in shapes:
+        for a, b, c, d in itertools.combinations(t.leaves, 4):
+            four = (a, b, c, d)
+            signatures = [lm.star_tree(four), lm.quartet_tree(a, b, c, d),
+                          lm.quartet_tree(a, c, b, d), lm.quartet_tree(a, d, b, c)]
+            for sig in signatures:
+                if quartet_topology(sig, four) == quartet_topology(t, four):
+                    continue
+                inner, outer = matroid.rank_oracle(sig), matroid.rank_oracle(t)
+
+                def mixed(cord_set, inner=inner, outer=outer, four=set(four)):
+                    leaves = {x for c in cord_set for x in c}
+                    return (inner if leaves == four else outer)(cord_set)
+
+                match = displayed.get(reconstruct.quartet_set_from_oracle(mixed, t.leaves))
+                if match is not None:
+                    again = reconstruct.tree_from_oracle(mixed, t.leaves)
+                    assert lm.are_equivalent(again, match)
+                    continue
+                with pytest.raises(ValueError, match="no tree displays") as refused:
+                    reconstruct.tree_from_oracle(mixed, t.leaves)
+                refusals.add(str(refused.value).split(": ")[1])
+    assert refusals == {"their clusters below 'a' cross",
+                        "the tree their clusters give displays others"}
 
 
 def test_matroids_equal_examples(quartet, star4):
