@@ -26,7 +26,6 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, isqrt, lcm
-from operator import mul
 from struct import pack as pack_fields, unpack as unpack_fields
 
 from .errors import ScaleBoundError
@@ -87,8 +86,7 @@ class RowSpace:
     divisor ``d``; the residual is ``d`` times the row minus a combination
     of the stored rows.  ``add`` takes the pair and stores the residual
     scaled by ``a_k / d``, which makes it the full Bareiss row.  Every entry
-    of a residual or a stored row is then a minor of the inserted rows, and
-    so is every entry of ``annihilator``.
+    of a residual or a stored row is then a minor of the inserted rows.
 
     Field width.  Such a minor has order at most ``m = min(ncols + 1,
     ncols + tail)``, so Hadamard's bound caps it at ``bound**m * m**(m/2)``
@@ -258,32 +256,6 @@ class RowSpace:
     def pop(self):
         """Drop the most recently added pivot row (for DFS backtracking)."""
         self._stack.pop()
-
-    def annihilator(self):
-        """The nonzero functional that vanishes on every stored row.
-
-        Valid when the main part has full rank and the tail is one wide, so
-        the stored rows span a hyperplane of the row width (else
-        ValueError).  The tail coordinate is the last pivot entry, which is
-        the main part's determinant up to sign, so by Cramer's rule every
-        other coordinate is an integer minor.  Back-substitution from the
-        last row to the first solves for each row's pivot coordinate by an
-        exact division, since a row is zero at every earlier pivot; the last
-        row is zero at every main column but its pivot.  A row lies in the
-        span of the stored rows iff its product with the functional is 0.
-        """
-        if self.width != self.ncols + 1:
-            raise ValueError(f"annihilator needs a one-wide tail, not {self.width - self.ncols}")
-        if len(self._stack) != self.ncols:
-            raise ValueError(f"annihilator needs full rank {self.ncols}, not {len(self._stack)}")
-        w = self._w
-        x, s, _, a = self._stack[-1][:4]
-        n = [0] * self.width
-        n[-1] = a
-        n[s // w] = self._half - ((x + self._bias) >> (w * self.ncols) & self._field)
-        for r, s, _, a, _, _ in self._stack[-2::-1]:
-            n[s // w] = -sum(map(mul, self.unpack(r), n)) // a
-        return n
 
 
 def rank(matrix):

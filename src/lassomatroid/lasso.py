@@ -5,8 +5,8 @@ weight (a spanning set of the cord matroid), a topological lasso when
 agreement of distances on it forces the tree shape itself, and a strong
 lasso when it is both.  The topological decider here is exact.  From four
 leaves on a topological lasso must be a t-cover, so it rejects any other cord
-set in one pass; for a t-cover it grows competing tree shapes leaf by leaf,
-pruned by exact linear feasibility.
+set in one pass; for a t-cover it grows competing shapes leaf by leaf as
+cluster sets, building no tree, pruned by exact linear feasibility.
 The paper's weightings are positive on interior edges and non-negative on
 pendant edges.  The decider asks only whether weightings positive on every
 edge agree, which gives the same verdicts, and its systems hold the two
@@ -25,7 +25,7 @@ from . import matroid
 from .errors import ScaleBoundError
 from .exact import LinearSystem, feasible
 from .stargraph import analyze
-from .tree import all_cords, cord, cross_cords, grow, star_tree
+from .tree import _clusters, _hangings, all_cords, cord, cross_cords
 
 _topological_memo = {}
 
@@ -118,12 +118,14 @@ def pointed_covers(tree, leaf):
         yield cover
 
 
-def _agreement_system(shape, tree, cords):
-    """Feasibility system: positive weightings of both trees agree on the cords.
+def _agreement_system(n, cords, shape, tree):
+    """Feasibility system: positive weightings of two shapes agree on the cords.
 
-    Both trees are on the same leaves.  The variables are one free
-    difference d_x per leaf x, in the first columns, then the interior edges
-    of ``shape``, then those of ``tree``.  A cord x-y gives the row
+    Both shapes are on the leaves 0..n-1, ``cords`` are pairs of leaves, and
+    ``shape`` and ``tree`` list each shape's interior splits as bitmasks
+    over the leaves (either side).  The variables are one free difference
+    d_x per leaf x, in the first columns, then the interior edges of
+    ``shape``, then those of ``tree``.  A cord x-y gives the row
     d_x + d_y + (shape's interior path) - (tree's interior path) = 0, and
     only the interior variables get strict sign rows.
 
@@ -149,17 +151,13 @@ def _agreement_system(shape, tree, cords):
     Fourier-Motzkin combines rows over at most 2(n - 3) interior variables
     for n leaves.
     """
-    n = shape.n_leaves
-    bit = {x: i for i, x in enumerate(shape.leaves)}
-    shape_splits, tree_splits = shape.interior_splits, tree.interior_splits
-    nvars = n + len(shape_splits) + len(tree_splits)
+    nvars = n + len(shape) + len(tree)
     equalities = []
-    for x, y in sorted(cords):
-        a, b = bit[x], bit[y]
+    for a, b in cords:
         row = [0] * n
         row[a] = row[b] = 1
-        row += [(m >> a ^ m >> b) & 1 for m in shape_splits]
-        row += [-((m >> a ^ m >> b) & 1) for m in tree_splits]
+        row += [(m >> a ^ m >> b) & 1 for m in shape]
+        row += [-((m >> a ^ m >> b) & 1) for m in tree]
         equalities.append((row, 0))
     strict = []
     for col in range(n, nvars):
@@ -203,10 +201,13 @@ def is_topological_lasso(tree, cords, max_leaves=6):
     three cords.
 
     A t-cover goes to the search: competing shapes grow one leaf at a
-    time, most cords first; a prefix on leaves Y is kept only while it
+    time, most cords first, each kept as its clusters (``tree._hangings``)
+    and built as no tree.  A prefix on the leaves Y is kept only while it
     can agree with the tree restricted to Y on the cords inside Y, since
     restricting agreeing weightings (summing along condensed chains) keeps
-    them positive and agreeing.
+    them positive and agreeing.  The restriction's clusters are the tree's
+    clusters cut down to Y, the empty one dropped, so a prefix is that
+    restriction itself exactly when its clusters are those.
     """
     labels = tree.leaves
     cords = frozenset(cords)
@@ -226,21 +227,36 @@ def is_topological_lasso(tree, cords, max_leaves=6):
         return cached
     ends = Counter(x for c in cords for x in c)
     order = sorted(labels, key=lambda x: (-ends[x], x))
-    levels = {}   # leaf count -> (tree restricted to those leaves, its form, cords inside)
-    for k in range(4, len(order) + 1):
-        ys = set(order[:k])
-        sub = tree.restrict(ys)[0]
-        levels[k] = (sub, sub.canonical_form(), [c for c in cords if set(c) <= ys])
+    n = len(order)
+    # Leaf i is order[i]; the tree's clusters are turned away from leaf 0.
+    full = (1 << n) - 1
+    clusters = [c ^ full if c & 1 else c for c in _clusters(tree, order)]
+    position = {x: i for i, x in enumerate(order)}
+    pairs = [(position[x], position[y]) for x, y in sorted(cords)]
 
-    def can_agree(prefix):
-        sub, form, inside = levels[prefix.n_leaves]
-        if prefix.canonical_form() == form:
-            return prefix.n_leaves < len(order)   # the tree itself is no competitor
-        # max_leaves differences, and at most max_leaves - 3 interior edges a tree
-        return feasible(_agreement_system(prefix, sub, inside),
+    def interior(cut, k):   # neither a leaf's nor leaf 0's own edge
+        return [c for c in cut if c & (c - 1) and c != (1 << k) - 2]
+
+    levels = {}   # leaf count k -> the tree's clusters on leaves 0..k-1, interior ones, cords
+    for k in range(4, n + 1):
+        cut = dict.fromkeys(c & ((1 << k) - 1) for c in clusters if c & ((1 << k) - 1))
+        levels[k] = (frozenset(cut), interior(cut, k),
+                     [(a, b) for a, b in pairs if a < k and b < k])
+
+    def can_agree(prefix, k):
+        restricted, tree_interior, inside = levels[k]
+        if restricted == set(prefix):
+            return k < n   # the tree itself is no competitor
+        # k differences, and at most max_leaves - 3 interior edges a tree
+        return feasible(_agreement_system(k, inside, interior(prefix, k), tree_interior),
                         max_variables=3 * max_leaves - 6)
 
-    result = next(grow(star_tree(order[:3]), order[3:], keep=can_agree), None) is None
+    def competes(prefix, k):
+        """Whether some shape grown from this prefix on k leaves competes."""
+        return k == n or any(can_agree(grown, k + 1) and competes(grown, k + 1)
+                             for grown in _hangings(prefix, 1 << k))
+
+    result = not competes([0b110, 0b010, 0b100], 3)   # the star on leaves 0, 1, 2
     _topological_memo[key] = result
     return result
 

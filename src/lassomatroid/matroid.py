@@ -11,7 +11,6 @@ the bases are the tight edge-weight lassos.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import mul
 
 from .errors import ScaleBoundError
 from .exact import RowSpace
@@ -222,21 +221,24 @@ def coloops(tree):
 
 
 def _collapse_rows(tree, f, cords):
-    """Each cord's collapsed-tree path vector, with its full-tree incidence
-    of the collapsed edge ``f`` appended as a one-wide tail."""
-    collapsed = tree.contract({f})
+    """Each cord's path vector with the column of edge ``f`` moved to a
+    one-wide tail.  Collapsing f keeps every other edge's id and split, so
+    the main part is the cord's path vector in ``tree.contract({f})``."""
     fcol = tree.edge_column[f]
-    return [collapsed.path_vector(c) + (tree.path_vector(c)[fcol],) for c in cords]
+    return [v[:fcol] + v[fcol + 1:] + v[fcol:fcol + 1] for v in map(tree.path_vector, cords)]
 
 
 def contraction_extends(tree, f, base_cords, c):
     """Whether a basis of the collapsed tree extends by ``c`` to one of the tree.
 
-    ``base_cords`` must be a basis of ``tree.contract({f})`` (else ValueError).
-    Its collapsed rows with their f-tails span a hyperplane; the extension
-    is a basis of the tree iff the row of ``c`` leaves it, i.e. iff its
-    product with the hyperplane's annihilator is nonzero.
+    ``f`` must be an interior edge and ``base_cords`` a basis of
+    ``tree.contract({f})`` (else ValueError).  Its collapsed rows with their
+    f-tails span a hyperplane; the extension is a basis of the tree iff the
+    row of ``c`` leaves it.  Its residual over them is zero at every main
+    column, so that holds iff the residual, its f-tail, is nonzero.
     """
+    if f not in tree.interior_edge_ids:
+        raise ValueError(f"edge {f} is not an interior edge; only those can be collapsed")
     *rows, row = _collapse_rows(tree, f, [*sorted(base_cords), c])
     space = RowSpace(len(row) - 1, tail=1)
     for b in rows:
@@ -244,7 +246,7 @@ def contraction_extends(tree, f, base_cords, c):
             raise ValueError("cord set is not independent in the collapsed tree")
     if space.rank != space.ncols:
         raise ValueError("cord set does not span the collapsed tree")
-    return sum(map(mul, row, space.annihilator())) != 0
+    return space.reduce(row)[0] != 0
 
 
 def contraction_bases(tree, f, max_leaves=7):

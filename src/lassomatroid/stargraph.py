@@ -22,7 +22,6 @@ class Component:
     edges: frozenset
     bipartite: bool
     cycle_count: int
-    odd_cycle: bool
     sides: tuple | None   # the two colour classes of a bipartite component
 
 
@@ -33,10 +32,6 @@ class ComponentReport:
     @property
     def bipartite_count(self):
         return sum(1 for c in self.components if c.bipartite)
-
-    @property
-    def non_bipartite_count(self):
-        return sum(1 for c in self.components if not c.bipartite)
 
 
 def analyze(labels, cords):
@@ -80,8 +75,7 @@ def analyze(labels, cords):
             sides = (frozenset(v for v in verts if not color[v]),
                      frozenset(v for v in verts if color[v]))
         components.append(Component(vertices=verts, edges=edges, bipartite=bipartite,
-                                    cycle_count=cycle_count, odd_cycle=not bipartite,
-                                    sides=sides))
+                                    cycle_count=cycle_count, sides=sides))
     components.sort(key=lambda c: min(c.vertices))
     return ComponentReport(components=tuple(components))
 

@@ -18,8 +18,6 @@ from .errors import NewickError, ScaleBoundError
 LABEL_RE = re.compile(r"[A-Za-z0-9_]+")
 WEIGHT_RE = re.compile(r"-?[0-9]+(?:/[0-9]+|\.[0-9]+)?")
 
-Cord = tuple  # unordered pair of leaf labels, stored sorted
-
 
 def cord(a, b):
     """Canonical unordered pair of two distinct leaf labels."""
@@ -147,9 +145,6 @@ class XTree:
         except KeyError:
             raise ValueError(f"unknown leaf label {label!r}") from None
 
-    def leaf_of_vertex(self, v):
-        return self._vertex_leaf.get(v)
-
     def degree(self, v):
         try:
             return len(self._adjacency[v])
@@ -214,17 +209,6 @@ class XTree:
             vec = tuple((mask >> a ^ mask >> b) & 1 for mask in self._below)
             self._vectors[c] = vec
         return vec
-
-    @property
-    def interior_splits(self):
-        """The splits of the interior edges, in column order.
-
-        Each is the bitmask, over the sorted labels, of the edge's side away
-        from the first leaf.  The split table holds every edge's side below
-        it; a pendant edge's is its one leaf, a power of two, and an interior
-        edge's holds at least two leaves.
-        """
-        return tuple(mask for mask in self._below if mask & (mask - 1))
 
     def distance(self, weighting, c):
         """Path sum of edge weights between the two leaves of the cord."""
@@ -410,7 +394,9 @@ def parse_newick(text):
     exact rationals ("3/2", "0.25", "-1").  A two-child outer grouping is
     read as an unrooted tree (its two top edges fuse into one); any other
     degree-2 vertex is an error, as are duplicate labels and fewer than
-    three leaves.
+    three leaves.  Edges are numbered in preorder, children left to right,
+    the fused edge taking the first top edge's id; the tree is built from
+    each node's leaves by ``_tree_from_splits``.
     """
     pos = 0
     n = len(text)
@@ -419,6 +405,9 @@ def parse_newick(text):
         nonlocal pos
         while pos < n and text[pos].isspace():
             pos += 1
+
+    leaves = []   # (label, position) in text order; leaf i is bit i of a node's mask
+    weighted = []   # per finished node, whether it has a weight; the root is last
 
     def finish(children, label, start):
         # the optional ':weight' after a node; returns the parsed node
@@ -432,10 +421,17 @@ def parse_newick(text):
                 raise NewickError("expected a rational weight after ':'", pos)
             weight = _parse_rational(m.group(0), pos)
             pos = m.end()
-        return (children, label, weight, start)
+        weighted.append(weight is not None)
+        if label is None:
+            mask = sum(child[4] for child in children)
+        else:
+            mask = 1 << len(leaves)
+            leaves.append((label, start))
+        return (children, label, weight, start, mask)
 
-    # Nodes are (children, label, weight, position).  Open groups wait on an
-    # explicit stack, so nesting depth is bounded by memory, not recursion.
+    # Nodes are (children, label, weight, position, leaves below as a mask).
+    # Open groups wait on an explicit stack, so nesting depth is bounded by
+    # memory, not recursion.
     groups = []
     root = None
     while root is None:
@@ -483,61 +479,40 @@ def parse_newick(text):
         raise NewickError("a single label is not a tree", root[3])
     if len(root[0]) == 1:
         raise NewickError("outer parentheses enclose a single subtree", root[3])
+    first = {}
+    for label, position in leaves:
+        if first.setdefault(label, position) != position:
+            raise NewickError(f"duplicate leaf label {label!r}", position)
+    if any(weighted) and not all(weighted[:-1]):
+        raise NewickError("weights must be given on all edges or none", root[3])
+    if len(leaves) < 3:
+        raise NewickError("an X-tree needs at least 3 leaves", root[3])
 
-    counter = itertools.count()
-    edges = {}
-    leaf_map = {}
-    weights = {}
-    label_pos = {}
-
-    # vertices and edges are numbered in preorder, children left to right
-    stack = [(root, None)]
+    # Edge ids follow the nodes below them in preorder, children left to right.
+    full = (1 << len(leaves)) - 1
+    edge_of, weights = {}, {}   # split -> edge id; edge id -> weight
+    stack = [(child, root) for child in reversed(root[0])]
+    eid = 0
     while stack:
-        (children, label, weight, position), parent_vertex = stack.pop()
-        vid = next(counter)
-        if label is not None:
-            if label in leaf_map:
-                raise NewickError(f"duplicate leaf label {label!r}", position)
-            leaf_map[label] = vid
-            label_pos[label] = position
-        if parent_vertex is not None:
-            eid = len(edges)
-            edges[eid] = frozenset((parent_vertex, vid))
+        node, up = stack.pop()
+        children, _label, weight, _position, mask = node
+        split = mask ^ full if mask & 1 else mask
+        if split not in edge_of:
+            edge_of[split] = eid
             if weight is not None:
                 weights[eid] = weight
-        stack.extend((child, vid) for child in reversed(children))
-    root_vertex = 0
-
-    if len(root[0]) == 2:
-        # unrooted convention: fuse the two edges at the outer grouping
-        (e1, e2) = [eid for eid, pair in edges.items() if root_vertex in pair]
-        (v1,) = edges[e1] - {root_vertex}
-        (v2,) = edges[e2] - {root_vertex}
-        del edges[e2]
-        edges[e1] = frozenset((v1, v2))
-        if e1 in weights or e2 in weights:
-            if not (e1 in weights and e2 in weights):
-                raise NewickError("weights must be given on all edges or none", root[3])
-            weights[e1] = weights[e1] + weights.pop(e2)
-
-    if weights and len(weights) != len(edges):
-        raise NewickError("weights must be given on all edges or none", root[3])
-
-    if len(leaf_map) < 3:
-        raise NewickError("an X-tree needs at least 3 leaves", root[3])
-    # degree check with positions where possible
-    degree = {}
-    for pair in edges.values():
-        for v in pair:
-            degree[v] = degree.get(v, 0) + 1
-    for label, vid in leaf_map.items():
-        if degree.get(vid, 0) != 1:
-            raise NewickError(f"leaf label {label!r} sits on a non-leaf vertex", label_pos[label])
-    for v, d in degree.items():
-        if d == 2:
-            raise NewickError("input contains a degree-2 vertex", root[3])
-    tree = XTree(edges, leaf_map)
-    return tree, (weights or None)
+        elif up is root:
+            # the children of a two-child outer grouping: their two edges
+            # fuse into the first one, and the weights add
+            if weight is not None:
+                weights[edge_of[split]] += weight
+        else:
+            # any other repeat has this node as its parent's only child
+            raise NewickError("input contains a degree-2 vertex", up[3])
+        eid += 1
+        stack += [(child, node) for child in reversed(children)]
+    splits = {eid: split for split, eid in edge_of.items()}
+    return _tree_from_splits([label for label, _ in leaves], splits), (weights or None)
 
 
 def tree_from_newick(text):
@@ -549,30 +524,36 @@ def tree_from_newick(text):
 
 
 def _tree_from_splits(labels, splits):
-    """The X-tree on the sorted ``labels`` whose edge ``eid`` has split ``splits[eid]``.
+    """The X-tree on the distinct ``labels`` whose edge ``eid`` has split ``splits[eid]``.
 
-    A split is a bitmask over the labels of either side; it is turned to the
-    side without the first label, and each edge hangs below the smallest split
-    that strictly contains its own (the largest hangs below the first leaf).
-    Leaves are vertices 0..n-1 in label order and interior vertices follow by
-    increasing split size.  The constructor validates the result.
+    A split is a bitmask, bit i standing for labels[i], of either side; it
+    is turned to the side without the first label.  A split strictly
+    inside another is smaller as a number, so from the largest down each
+    edge hangs below the smallest split met so far that holds any of its
+    leaves (the largest hangs below the first leaf).  Leaf i is vertex i,
+    and interior vertices follow from the largest split down.  The
+    constructor validates the result.
     """
     n = len(labels)
     if n < 3:
         raise ValueError("an X-tree needs at least 3 leaves")
     full = (1 << n) - 1
-    order = sorted(((mask ^ full if mask & 1 else mask, eid) for eid, mask in splits.items()),
-                   key=lambda split: split[0].bit_count())
-    interior = itertools.count(n)
-    lower = {eid: next(interior) if mask & (mask - 1) else mask.bit_length() - 1
-             for mask, eid in order}
-    upper = {}
-    for i, (mask, eid) in enumerate(order):
-        # a later, so larger, split holding any leaf of this one contains it
-        leaf = mask & -mask
-        upper[eid] = next((lower[f] for m, f in order[i + 1:] if m & leaf), 0)
-    return XTree({eid: (lower[eid], upper[eid]) for eid in splits},
-                 {x: i for i, x in enumerate(labels)})
+    edges = {}
+    holder = {}   # leaf bit -> lower vertex of the smallest split so far holding it
+    interior = n
+    for mask, eid in sorted(((mask ^ full if mask & 1 else mask, eid)
+                             for eid, mask in splits.items()), reverse=True):
+        upper = holder.get(mask & -mask, 0)
+        if mask & (mask - 1):
+            edges[eid] = (interior, upper)
+            while mask:
+                leaf = mask & -mask
+                holder[leaf] = interior
+                mask ^= leaf
+            interior += 1
+        else:
+            edges[eid] = (mask.bit_length() - 1, upper)
+    return XTree(edges, {x: i for i, x in enumerate(labels)})
 
 
 def star_tree(labels):
@@ -606,40 +587,70 @@ def caterpillar_tree(labels):
 # -- growth by leaf insertion ------------------------------------------------
 
 
+def _clusters(tree, labels):
+    """Each edge's side away from the tree's first leaf, in column order, as
+    a bitmask in which bit i stands for labels[i]: the split table, but
+    with the first leaf's own edge holding all the other leaves."""
+    bits = [1 << labels.index(x) for x in tree.leaves]
+    return [sum(bits) - bits[0] if mask == 1 else
+            sum(b for i, b in enumerate(bits) if mask >> i & 1) for mask in tree._below]
+
+
+def _hangings(clusters, x, binary=False):
+    """Every cluster list made by hanging the new leaf bit ``x`` in one place.
+
+    Rooted at a leaf, a tree is fixed by its clusters, each edge's side away
+    from the root (Buneman 1971).  Hanging x on the edge of cluster C adds x
+    to every cluster strictly containing C, keeps C in place (the lower
+    half) and appends C|x and {x}.  Hanging it on the interior vertex below
+    a cluster C of two leaves or more, one per vertex, adds x to every
+    cluster containing C and appends {x}.  Edges come first, then (unless
+    ``binary``) vertices.  Removing x, and a vertex left with degree 2,
+    gives back the tree, so growth from a 3-leaf star meets each shape once.
+    """
+    for C in clusters:
+        yield [c | x if c & C == C and c != C else c for c in clusters] + [C | x, x]
+    if not binary:
+        for C in clusters:
+            if C & (C - 1):
+                yield [c | x if c & C == C else c for c in clusters] + [x]
+
+
 def hang_leaf(tree, label, binary=False):
-    """Every tree made by hanging a new leaf on a vertex subdividing each edge
-    in turn, then (unless ``binary``) on each interior vertex.  Removing that
-    leaf, and a vertex left with degree 2, gives back ``tree``, so growth from
-    a 3-leaf star reaches every shape once.  Edge ids are list positions.
+    """Every tree made by hanging a new leaf on each edge of ``tree``, then
+    (unless ``binary``) on each interior vertex, by ``_hangings``.  Each edge
+    keeps its id, a subdivided one for its half away from the first leaf,
+    and the new edges take the next ids.
     """
     if label in tree._leaf_vertex:
         raise ValueError(f"leaf label {label!r} is already in the tree")
-    edge_list = [tuple(tree._edges[eid]) for eid in tree.edge_ids]
-    leaves = dict(tree._leaf_vertex)
-    mid = max(tree.vertices) + 1
-    for i, (u, v) in enumerate(edge_list):
-        grown = edge_list[:i] + edge_list[i + 1:] + [(u, mid), (mid, v), (mid, mid + 1)]
-        yield XTree(dict(enumerate(grown)), {**leaves, label: mid + 1})
-    if not binary:
-        for v in sorted(tree.interior_vertices):
-            yield XTree(dict(enumerate(edge_list + [(v, mid)])), {**leaves, label: mid})
+    labels = sorted([*tree.leaves, label])
+    last = tree.edge_ids[-1]
+    ids = [*tree.edge_ids, last + 1, last + 2]
+    for clusters in _hangings(_clusters(tree, labels), 1 << labels.index(label), binary):
+        yield _tree_from_splits(labels, dict(zip(ids, clusters)))
 
 
-def grow(tree, labels, binary=False, keep=None):
-    """Depth-first: every tree grown from ``tree`` by hanging ``labels`` in order,
-    skipping each grown tree that ``keep`` refuses and all grown from it."""
-    if not labels:
-        yield tree
-        return
-    for bigger in hang_leaf(tree, labels[0], binary):
-        if keep is None or keep(bigger):
-            yield from grow(bigger, labels[1:], binary, keep)
+def grow(labels, binary=False):
+    """Depth-first: every tree on the distinct ``labels``, grown from the star
+    on the first three by hanging the others in order (``_hangings``).  Only
+    the grown trees are built, with their list positions as edge ids."""
+    if len(set(labels)) != len(labels):
+        raise ValueError("labels must be distinct")
+
+    def walk(clusters, k):
+        if k >= len(labels):
+            yield _tree_from_splits(labels, dict(enumerate(clusters)))
+            return
+        for grown in _hangings(clusters, 1 << k, binary):
+            yield from walk(grown, k + 1)
+
+    yield from walk([0b110, 0b010, 0b100], 3)   # the star, rooted at leaf 0
 
 
 def enumerate_binary_xtrees(labels):
     """All binary trees on the labels, one per equivalence class."""
-    labels = sorted(labels)
-    return list(grow(star_tree(labels[:3]), labels[3:], binary=True))
+    return list(grow(sorted(labels), binary=True))
 
 
 def enumerate_xtrees(labels, max_leaves=8):
@@ -652,4 +663,4 @@ def enumerate_xtrees(labels, max_leaves=8):
     if len(labels) > max_leaves:
         raise ScaleBoundError(
             f"{len(labels)} leaves exceeds the enumeration bound of {max_leaves}")
-    yield from grow(star_tree(labels[:3]), labels[3:])
+    yield from grow(labels)

@@ -173,40 +173,6 @@ def test_rank_of_large_entries_matches_gauss_jordan():
         assert rank(rows) == oracles.gauss_jordan_rank(rows)
 
 
-def test_rowspace_annihilator_vanishes_on_the_rows_and_spans_the_kernel():
-    rng = random.Random(5)
-    cases = 0
-    while cases < 300:
-        k = rng.randint(1, 7)
-        rows = [[rng.randint(-3, 3) for _ in range(k + 1)] for _ in range(k)]
-        if rank([row[:k] for row in rows]) < k:
-            continue
-        cases += 1
-        space = RowSpace(k, tail=1, bound=3)
-        for row in rows:
-            assert space.add(row)
-        n = space.annihilator()
-        assert n[-1] != 0
-        for row in rows:
-            assert sum(x * y for x, y in zip(row, n)) == 0
-        (kernel,) = kernel_basis(rows)
-        scale = Fraction(n[-1]) / kernel[-1]
-        assert [scale * x for x in kernel] == n
-
-
-def test_rowspace_annihilator_refuses_outside_its_preconditions():
-    no_tail = RowSpace(2)
-    no_tail.add([1, 0])
-    no_tail.add([0, 1])
-    wide_tail = RowSpace(1, tail=2, bound=3)
-    wide_tail.add([1, 2, 3])
-    short = RowSpace(2, tail=1)
-    short.add([1, 1, 0])
-    for space in (no_tail, wide_tail, short, RowSpace(3, tail=1)):
-        with pytest.raises(ValueError):
-            space.annihilator()
-
-
 # -- feasibility --------------------------------------------------------------
 
 
@@ -290,6 +256,11 @@ def test_feasible_agrees_with_vertex_oracle_on_four_leaf_agreement_systems():
     import lassomatroid as lm
     from lassomatroid import lasso
 
+    def splits(t):
+        """Each interior edge's side at its first end, a bitmask over a, b, c, d."""
+        return [sum(1 << "abcd".index(x) for x in t.side(eid, min(t.edges[eid])))
+                for eid in t.interior_edge_ids]
+
     shapes = list(lm.enumerate_xtrees("abcd"))
     cord_sets = [lm.all_cords("abcd"), lm.cross_cords("ac", "bd")]
     verdicts = set()
@@ -304,7 +275,8 @@ def test_feasible_agrees_with_vertex_oracle_on_four_leaf_agreement_systems():
                               for c in sorted(cords)]
                 want = oracles.vertex_feasible(
                     equalities + [([1] * nvars, 1)], [(row, 0) for row in units], [], box=None)
-                got = feasible(lasso._agreement_system(shape, tree, cords))
+                pairs = [("abcd".index(x), "abcd".index(y)) for x, y in sorted(cords)]
+                got = feasible(lasso._agreement_system(4, pairs, splits(shape), splits(tree)))
                 assert got == want, (shape.to_newick(), tree.to_newick(), cords)
                 verdicts.add(got)
     assert verdicts == {True, False}

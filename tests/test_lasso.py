@@ -78,16 +78,21 @@ def test_pointed_cover_order_depends_on_the_splits_alone():
     def sequence(t, x, k=300):
         return [sorted(c) for c in itertools.islice(lasso.pointed_covers(t, x), k)]
 
+    def hung_at(t):
+        """The number of the vertex each leaf hangs from."""
+        return [t.neighbors(t.leaf_vertex(x))[0][0] for x in t.leaves]
+
     six = lm.tree_from_newick("((a,b),(c,d),(e,f));")
     rerooted = lm.tree_from_newick("(e,f,((c,d),(a,b)));")
     restricted, _ = lm.tree_from_newick("((a,b),(c,d),((e,f),g));").restrict(set("abcdef"))
     # twelve leaves: ten interior vertices, numbered differently in each build
+    # (a restriction numbers them by its splits, a parse by its text)
     big = lm.tree_from_newick("(((i,j),(k,l)),((a,b),(c,d)),((e,f),(g,h)));")
     big_restricted, _ = lm.tree_from_newick(
         "(((a,b),(c,d)),((e,f),(g,h)),((i,j),((k,l),(m,n))));").restrict(set("abcdefghijkl"))
     assert len(big.interior_vertices) == 10
-    for t, same in ((six, rerooted), (six, restricted), (big, big_restricted)):
-        assert lm.are_equivalent(t, same) and t.interior_vertices != same.interior_vertices
+    for t, same in ((six, rerooted), (rerooted, restricted), (big, big_restricted)):
+        assert lm.are_equivalent(t, same) and hung_at(t) != hung_at(same)
         for x in t.leaves:
             assert sequence(t, x) == sequence(same, x)
 
@@ -245,6 +250,21 @@ def test_noncover_decided_beyond_the_scale_bound():
     assert lm.is_topological_lasso(t, path) is False
     report = lm.lasso_report(t, path)
     assert report.topological is False and report.strong is False
+
+
+def test_search_builds_no_tree(monkeypatch):
+    # a 6-leaf two-sided t-cover: only the full shape search decides it, and
+    # the search grows cluster lists, never an XTree
+    t = lm.tree_from_newick("((a,d),(b,e),(c,f));")
+    two = lm.cross_cords("abc", "def")
+    assert lasso.is_t_cover(t, two) and lasso.split_check(t, set("abc"), set("def"))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the topological search built a tree")
+
+    monkeypatch.setattr(lasso, "_topological_memo", {})
+    monkeypatch.setattr(lm.XTree, "__init__", refuse)
+    assert lm.is_topological_lasso(t, two) is True
 
 
 def test_seven_leaf_caterpillar_cover_is_decided():

@@ -32,6 +32,12 @@ def test_parse_star():
 def test_parse_rejects_degree_two():
     with pytest.raises(lm.NewickError):
         lm.parse_newick("(a,(b));")
+    # the error names the one-child group, here "(c)" at position 7
+    for text, position in (("((a,b),(c),d);", 7), ("((a,b),((c,d)));", 7),
+                           ("((a,b),(c,(d)));", 10)):
+        with pytest.raises(lm.NewickError, match="degree-2") as err:
+            lm.parse_newick(text)
+        assert err.value.position == position
 
 
 def test_parse_rejects_duplicate_label():
