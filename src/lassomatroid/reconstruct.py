@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import matroid
 from .errors import ScaleBoundError
-from .tree import _tree_from_splits, all_cords, cord, quartet_topology
+from .tree import XTree, all_cords, cord, quartet_topology
 
 
 def _cycle_with_diagonals(pair1, pair2):
@@ -91,11 +91,12 @@ def tree_from_oracle(rank_oracle, labels, max_leaves=24):
     away from r.  So the cluster {x, y} + {z : {r,x,y,z} is not rz|xy} is the
     leaf set below that ancestor, and the distinct clusters with 2 to n-2
     leaves are the tree's interior splits, each on the side without r.  The
-    splits of a tree nest or are disjoint, and nested sets of 2 to n-2 of the
-    n-1 leaves other than r number at most n-3, so any other cluster family
-    is refused.  The clusters read only the quartets through r, so the tree
-    built from them must still display exactly the oracle's quartets: an
-    oracle that is wrong on a quartet without r is refused there.
+    splits of a tree nest or are disjoint, so the ``XTree`` constructor
+    refuses clusters that cross; nested sets of 2 to n-2 of the n-1 leaves
+    other than r number at most n-3, so no count needs checking.  The
+    clusters read only the quartets through r, so the tree built from them
+    must still display exactly the oracle's quartets: an oracle that is
+    wrong on a quartet without r is refused there.
     """
     labels = sorted(labels)
     n = len(labels)
@@ -111,12 +112,12 @@ def tree_from_oracle(rank_oracle, labels, max_leaves=24):
                    if k and ((r, z), (x, y)) not in want.resolved)
         if mask.bit_count() <= n - 2:
             clusters.add(mask)
-    if len(clusters) > n - 3 or any(a & b not in (0, a, b)
-                                    for a, b in itertools.combinations(clusters, 2)):
-        raise ValueError(f"no tree displays the oracle's quartets: "
-                         f"their clusters below {r!r} cross")
     splits = [1 << i for i in range(n)] + sorted(clusters)
-    tree = _tree_from_splits(labels, dict(enumerate(splits)))
+    try:
+        tree = XTree(labels, dict(enumerate(splits)))
+    except ValueError:
+        raise ValueError(f"no tree displays the oracle's quartets: "
+                         f"their clusters below {r!r} cross") from None
     if quartet_set_of_tree(tree) != want:
         raise ValueError("no tree displays the oracle's quartets: "
                          "the tree their clusters give displays others")

@@ -2,9 +2,12 @@
 
 An ``XTree`` is a finite unrooted tree whose degree-1 vertices carry distinct
 labels (the leaves) and whose interior vertices all have degree at least 3.
-Edges carry stable integer ids so that contraction preserves the identity of
-surviving edges and weightings restrict canonically.  Instances are immutable
-and safe to share between threads.
+It is built from its split table, one split of the leaves per edge:
+``XTree(labels, splits)`` is the one constructor, and parsing, contraction,
+restriction, growth and the named shapes all hand it splits.  Edges carry
+stable integer ids so that contraction preserves the identity of surviving
+edges and weightings restrict canonically.  Instances are immutable and safe
+to share between threads.
 """
 
 from __future__ import annotations
@@ -42,74 +45,90 @@ def cross_cords(side_a, side_b):
 class XTree:
     """Unrooted leaf-labeled tree, no degree-2 vertices, at least 3 leaves.
 
-    Construction walks the tree once, breadth-first from the first leaf's
-    neighbour.  The walk keeps the order in which it took the edges and, per
-    edge column, the edge's upper and lower end and the leaves below it as a
-    bitmask over the sorted labels: the edge's split of the leaves.  Paths,
+    A tree on X is fixed by its splits (Buneman 1971), so an ``XTree`` is
+    built from them.  ``labels`` are the sorted, distinct leaf labels, and
+    ``splits[eid]`` is edge ``eid``'s split as a bitmask of either side, bit
+    i standing for ``labels[i]``.  Leaf i is vertex i.
+
+    The constructor turns each split away from ``labels[0]`` and takes them
+    from the largest down, in one pass.  A split strictly inside another is
+    smaller as a number, so each edge hangs below its leaves' holder: the
+    vertex of the smallest split met so far that holds them.  The largest
+    split is the first leaf's edge, holding every other leaf; the root,
+    vertex n, holds them, and the first leaf hangs below it.  Each later
+    split of two leaves or more gets the next interior vertex, and a split
+    of one leaf ends at that leaf.  Per edge column the tree keeps the
+    edge's upper and lower end and the leaves below it, its split; paths,
     sides, distances and quartets are read off those splits.
+
+    Each of these is refused with its own ``ValueError``: fewer than 3
+    leaves, labels not strictly increasing, a split that is 0 or every leaf,
+    a repeated split, a split whose leaves have different holders (it
+    crosses a split met before) and a leaf with no edge of its own.  Nothing
+    more needs checking.  The children of the vertex of a split S are the
+    largest splits strictly inside S.  Each leaf of S lies in one of them,
+    as its own edge does, and one child cannot hold them all, as it would
+    equal S.  So every interior vertex has its parent edge and at least two
+    children, and the n leaves are exactly the vertices of degree 1.
     """
 
-    __slots__ = ("_edges", "_leaf_vertex", "_vertex_leaf", "_adjacency",
-                 "_edge_ids", "_edge_column", "_leaves", "_walk", "_upper",
-                 "_lower", "_below", "_canonical", "_vectors")
+    __slots__ = ("_leaves", "_leaf_vertex", "_adjacency", "_edge_ids", "_edge_column",
+                 "_walk", "_upper", "_lower", "_below", "_canonical", "_vectors")
 
-    def __init__(self, edges, leaves):
-        self._edges = {eid: frozenset(pair) for eid, pair in dict(edges).items()}
-        self._leaf_vertex = dict(leaves)
-        self._vertex_leaf = {v: x for x, v in self._leaf_vertex.items()}
-        if len(self._vertex_leaf) != len(self._leaf_vertex):
-            raise ValueError("leaf labels do not map to distinct vertices")
-        adjacency = {}
-        for eid, pair in self._edges.items():
-            if len(pair) != 2:
-                raise ValueError(f"edge {eid} is not a 2-set")
-            u, v = tuple(pair)
-            adjacency.setdefault(u, []).append((v, eid))
-            adjacency.setdefault(v, []).append((u, eid))
+    def __init__(self, labels, splits):
+        labels = tuple(labels)
+        n = len(labels)
+        if n < 3:
+            raise ValueError("an X-tree needs at least 3 leaves")
+        if any(a >= b for a, b in zip(labels, labels[1:])):
+            raise ValueError("leaf labels must be strictly increasing")
+        full = (1 << n) - 1
+        order = []
+        for eid, mask in splits.items():
+            if not 0 < mask < full:
+                raise ValueError(f"the split of edge {eid} must hold some leaves but not all")
+            order.append((mask ^ full if mask & 1 else mask, eid))
+        order.sort(reverse=True)
+        edge_ids = tuple(sorted(splits))
+        column = {eid: col for col, eid in enumerate(edge_ids)}
+        walk = []   # edge columns from the largest split down
+        upper, lower, below = [0] * len(order), [0] * len(order), [0] * len(order)
+        adjacency = {n: []}
+        holder = {}   # leaf bit -> its holder, when that is not the root
+        vertex, previous = n + 1, (None, None)
+        for mask, eid in order:
+            if mask == previous[0]:
+                raise ValueError(f"edges {eid} and {previous[1]} have the same split")
+            previous = mask, eid
+            up = holder.get(mask & -mask, n)
+            if mask == full ^ 1:
+                v = 0   # the first leaf hangs below the root; its edge stores mask 1
+            elif mask & (mask - 1):
+                v, vertex, rest = vertex, vertex + 1, mask
+                while rest:
+                    leaf = rest & -rest
+                    if holder.get(leaf, n) != up:
+                        raise ValueError(f"the split of edge {eid} crosses another split")
+                    holder[leaf] = v
+                    rest ^= leaf
+            else:
+                v = mask.bit_length() - 1
+            col = column[eid]
+            walk.append(col)
+            upper[col], lower[col], below[col] = up, v, (mask if v else 1)
+            adjacency[up].append((v, eid))
+            adjacency[v] = [(up, eid)]
+        for i, x in enumerate(labels):
+            if i not in adjacency:
+                raise ValueError(f"leaf {x!r} has no edge of its own")
+        self._leaves = labels
+        self._leaf_vertex = {x: i for i, x in enumerate(labels)}
         self._adjacency = {v: tuple(nbrs) for v, nbrs in adjacency.items()}
-        self._edge_ids = tuple(sorted(self._edges))
-        self._edge_column = {eid: i for i, eid in enumerate(self._edge_ids)}
-        self._leaves = tuple(sorted(self._leaf_vertex))
+        self._edge_ids, self._edge_column = edge_ids, column
+        self._walk = tuple(walk)
+        self._upper, self._lower, self._below = tuple(upper), tuple(lower), tuple(below)
         self._canonical = None
         self._vectors = {}
-        self._validate()
-
-    def _validate(self):
-        """Check the tree, then store its split table from the one walk."""
-        adjacency = self._adjacency
-        if len(self._leaves) < 3:
-            raise ValueError("an X-tree needs at least 3 leaves")
-        if len(self._edges) != len(adjacency) - 1:
-            raise ValueError("edge count does not match a tree")
-        if {v for v, nbrs in adjacency.items() if len(nbrs) == 1} != self._vertex_leaf.keys():
-            raise ValueError("degree-1 vertices must be exactly the labeled leaves")
-        for v, nbrs in adjacency.items():
-            if len(nbrs) == 2:
-                raise ValueError(f"vertex {v!r} has degree 2")
-        root = adjacency[self._leaf_vertex[self._leaves[0]]][0][0]
-        column = self._edge_column
-        walk = []   # edge columns in the order the walk takes them
-        upper, lower = [None] * len(column), [None] * len(column)
-        below = {root: 0}   # vertex -> leaves below it; also the walk's visited set
-        queue = [root]
-        for v in queue:
-            for w, eid in adjacency[v]:
-                if w not in below:
-                    below[w] = 0
-                    queue.append(w)
-                    col = column[eid]
-                    walk.append(col)
-                    upper[col], lower[col] = v, w
-        if len(below) != len(adjacency):
-            raise ValueError("tree is not connected")
-        for i, x in enumerate(self._leaves):
-            below[self._leaf_vertex[x]] = 1 << i
-        masks = [0] * len(column)
-        for col in reversed(walk):
-            masks[col] = below[lower[col]]
-            below[upper[col]] |= masks[col]
-        self._walk = tuple(walk)
-        self._upper, self._lower, self._below = tuple(upper), tuple(lower), tuple(masks)
 
     # -- basic structure ---------------------------------------------------
 
@@ -120,7 +139,8 @@ class XTree:
     @property
     def edges(self):
         """Mapping edge id -> frozenset of its two endpoints."""
-        return dict(self._edges)
+        return {eid: frozenset((self._upper[col], self._lower[col]))
+                for col, eid in enumerate(self._edge_ids)}
 
     @property
     def edge_ids(self):
@@ -137,9 +157,10 @@ class XTree:
 
     @property
     def n_leaves(self):
-        return len(self._leaf_vertex)
+        return len(self._leaves)
 
     def leaf_vertex(self, label):
+        """Leaf i of the sorted labels is vertex i and bit i of the split masks."""
         try:
             return self._leaf_vertex[label]
         except KeyError:
@@ -160,11 +181,11 @@ class XTree:
 
     @property
     def interior_vertices(self):
-        return frozenset(v for v in self._adjacency if v not in self._vertex_leaf)
+        return frozenset(range(len(self._leaves), len(self._adjacency)))
 
     def is_interior_edge(self, eid):
         """Neither end is a leaf; a leaf is always the lower end of its edge."""
-        return self._lower[self._edge_column[eid]] not in self._vertex_leaf
+        return self._lower[self._edge_column[eid]] >= len(self._leaves)
 
     @property
     def interior_edge_ids(self):
@@ -180,22 +201,15 @@ class XTree:
 
     # -- splits, paths and distances -----------------------------------------
 
-    def _position_of(self, label):
-        """Place of a leaf in the sorted labels: its bit in the split masks."""
-        try:
-            return self._leaves.index(label)
-        except ValueError:
-            raise ValueError(f"unknown leaf label {label!r}") from None
-
     def side(self, eid, vertex):
         """Leaf labels on ``vertex``'s side of edge ``eid``.
 
         These are the leaves of the component containing ``vertex`` once the
         edge is removed; the other side is their complement.
         """
-        if vertex not in self._edges[eid]:
-            raise ValueError(f"vertex {vertex!r} is not an end of edge {eid}")
         col = self._edge_column[eid]
+        if vertex not in (self._upper[col], self._lower[col]):
+            raise ValueError(f"vertex {vertex!r} is not an end of edge {eid}")
         mask = self._below[col]
         if vertex != self._lower[col]:
             mask ^= (1 << len(self._leaves)) - 1
@@ -205,14 +219,14 @@ class XTree:
         """0/1 incidence tuple over edge columns: 1 iff the edge's split separates a from b."""
         vec = self._vectors.get(c)
         if vec is None:
-            a, b = (self._position_of(x) for x in c)
+            a, b = (self.leaf_vertex(x) for x in c)
             vec = tuple((mask >> a ^ mask >> b) & 1 for mask in self._below)
             self._vectors[c] = vec
         return vec
 
     def distance(self, weighting, c):
         """Path sum of edge weights between the two leaves of the cord."""
-        if set(weighting) != set(self._edges):
+        if set(weighting) != set(self._edge_ids):
             raise ValueError("weighting domain must be exactly the edge set")
         on_path = zip(self._edge_ids, self.path_vector(c))
         return sum((weighting[eid] for eid, on in on_path if on), Fraction(0))
@@ -225,7 +239,7 @@ class XTree:
         The pair is proper when the shared vertex has degree 3.
         """
         by_neighbor = {}
-        for label, v in sorted(self._leaf_vertex.items()):
+        for v, label in enumerate(self._leaves):
             nbr = self._adjacency[v][0][0]
             by_neighbor.setdefault(nbr, []).append(label)
         out = []
@@ -268,22 +282,22 @@ class XTree:
     def canonical_form(self):
         """Canonical string; equal strings == leaf-fixing isomorphism."""
         if self._canonical is None:
+            n = len(self._leaves)
+
             def make(v, _via, children):
-                label = self._vertex_leaf.get(v)
-                return label if label is not None else "(" + ",".join(sorted(children)) + ")"
+                return self._leaves[v] if v < n else "(" + ",".join(sorted(children)) + ")"
 
             self._canonical = self._fold(make)
         return self._canonical
 
     def to_newick(self, weighting=None):
         """Canonical Newick text; optional exact weights rendered as p/q."""
-        if weighting is not None and set(weighting) != set(self._edges):
+        if weighting is not None and set(weighting) != set(self._edge_ids):
             raise ValueError("weighting domain must be exactly the edge set")
 
         def make(v, via_edge, children):
-            label = self._vertex_leaf.get(v)
-            if label is not None:
-                key, text = label, label
+            if v < len(self._leaves):
+                key = text = self._leaves[v]
             else:
                 parts = sorted(children)
                 key = "(" + ",".join(p[0] for p in parts) + ")"
@@ -306,12 +320,12 @@ class XTree:
         if not F:
             return self
         for eid in F:
-            if eid not in self._edges:
+            if eid not in self._edge_column:
                 raise ValueError(f"unknown edge id {eid}")
             if not self.is_interior_edge(eid):
                 raise ValueError(f"edge {eid} is pendant; only interior edges can be collapsed")
         surviving = {eid: mask for eid, mask in zip(self._edge_ids, self._below) if eid not in F}
-        return _tree_from_splits(self._leaves, surviving)
+        return XTree(self._leaves, surviving)
 
     def restrict(self, labels):
         """Minimal subtree spanning the given leaves, degree-2 vertices suppressed.
@@ -323,10 +337,8 @@ class XTree:
         full tree restricts by summation.
         """
         Y = set(labels)
-        if not Y <= set(self._leaf_vertex):
+        if not Y <= self._leaf_vertex.keys():
             raise ValueError("labels are not a subset of the leaves")
-        if len(Y) < 3:
-            raise ValueError("a restriction needs at least 3 leaves")
         kept = [i for i, x in enumerate(self._leaves) if x in Y]
         full = (1 << len(kept)) - 1
         chains = {}   # restricted split, turned away from the first kept leaf -> edge ids
@@ -336,7 +348,7 @@ class XTree:
                 split ^= full
             if split:
                 chains.setdefault(split, []).append(eid)
-        sub = _tree_from_splits(tuple(sorted(Y)), dict(enumerate(chains)))
+        sub = XTree(sorted(Y), dict(enumerate(chains)))
         return sub, {new_id: tuple(chain) for new_id, chain in enumerate(chains.values())}
 
 
@@ -365,7 +377,7 @@ def quartet_topology(tree, four):
     if len(labels) != 4:
         raise ValueError("need four distinct leaves")
     a, b, c, d = labels
-    bit = {x: 1 << tree._position_of(x) for x in labels}
+    bit = {x: 1 << tree.leaf_vertex(x) for x in labels}
     pairing_of = {bit[p] | bit[q]: pairing
                   for pairing in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c)))
                   for p, q in pairing}
@@ -395,8 +407,8 @@ def parse_newick(text):
     read as an unrooted tree (its two top edges fuse into one); any other
     degree-2 vertex is an error, as are duplicate labels and fewer than
     three leaves.  Edges are numbered in preorder, children left to right,
-    the fused edge taking the first top edge's id; the tree is built from
-    each node's leaves by ``_tree_from_splits``.
+    the fused edge taking the first top edge's id; each node's leaves, as
+    bits over the sorted labels, are its edge's split.
     """
     pos = 0
     n = len(text)
@@ -406,7 +418,7 @@ def parse_newick(text):
         while pos < n and text[pos].isspace():
             pos += 1
 
-    leaves = []   # (label, position) in text order; leaf i is bit i of a node's mask
+    leaves = []   # (label, position) in text order
     weighted = []   # per finished node, whether it has a weight; the root is last
 
     def finish(children, label, start):
@@ -422,16 +434,13 @@ def parse_newick(text):
             weight = _parse_rational(m.group(0), pos)
             pos = m.end()
         weighted.append(weight is not None)
-        if label is None:
-            mask = sum(child[4] for child in children)
-        else:
-            mask = 1 << len(leaves)
+        if label is not None:
             leaves.append((label, start))
-        return (children, label, weight, start, mask)
+        return [children, label, weight, start, 0]
 
-    # Nodes are (children, label, weight, position, leaves below as a mask).
-    # Open groups wait on an explicit stack, so nesting depth is bounded by
-    # memory, not recursion.
+    # Nodes are [children, label, weight, position, leaves below as a mask],
+    # the mask filled in after the parse.  Open groups wait on an explicit
+    # stack, so nesting depth is bounded by memory, not recursion.
     groups = []
     root = None
     while root is None:
@@ -489,13 +498,20 @@ def parse_newick(text):
         raise NewickError("an X-tree needs at least 3 leaves", root[3])
 
     # Edge ids follow the nodes below them in preorder, children left to right.
-    full = (1 << len(leaves)) - 1
-    edge_of, weights = {}, {}   # split -> edge id; edge id -> weight
+    order = []   # (node, parent) in preorder
     stack = [(child, root) for child in reversed(root[0])]
-    eid = 0
     while stack:
         node, up = stack.pop()
-        children, _label, weight, _position, mask = node
+        order.append((node, up))
+        stack += [(child, node) for child in reversed(node[0])]
+    labels = sorted(first)
+    bit = {label: 1 << i for i, label in enumerate(labels)}
+    for node, _up in reversed(order):   # children before parents
+        node[4] = bit[node[1]] if node[1] is not None else sum(child[4] for child in node[0])
+    full = (1 << len(labels)) - 1
+    edge_of, weights = {}, {}   # split -> edge id; edge id -> weight
+    for eid, (node, up) in enumerate(order):
+        _children, _label, weight, _position, mask = node
         split = mask ^ full if mask & 1 else mask
         if split not in edge_of:
             edge_of[split] = eid
@@ -509,10 +525,8 @@ def parse_newick(text):
         else:
             # any other repeat has this node as its parent's only child
             raise NewickError("input contains a degree-2 vertex", up[3])
-        eid += 1
-        stack += [(child, node) for child in reversed(children)]
     splits = {eid: split for split, eid in edge_of.items()}
-    return _tree_from_splits([label for label, _ in leaves], splits), (weights or None)
+    return XTree(labels, splits), (weights or None)
 
 
 def tree_from_newick(text):
@@ -523,43 +537,10 @@ def tree_from_newick(text):
 # -- builders ----------------------------------------------------------------
 
 
-def _tree_from_splits(labels, splits):
-    """The X-tree on the distinct ``labels`` whose edge ``eid`` has split ``splits[eid]``.
-
-    A split is a bitmask, bit i standing for labels[i], of either side; it
-    is turned to the side without the first label.  A split strictly
-    inside another is smaller as a number, so from the largest down each
-    edge hangs below the smallest split met so far that holds any of its
-    leaves (the largest hangs below the first leaf).  Leaf i is vertex i,
-    and interior vertices follow from the largest split down.  The
-    constructor validates the result.
-    """
-    n = len(labels)
-    if n < 3:
-        raise ValueError("an X-tree needs at least 3 leaves")
-    full = (1 << n) - 1
-    edges = {}
-    holder = {}   # leaf bit -> lower vertex of the smallest split so far holding it
-    interior = n
-    for mask, eid in sorted(((mask ^ full if mask & 1 else mask, eid)
-                             for eid, mask in splits.items()), reverse=True):
-        upper = holder.get(mask & -mask, 0)
-        if mask & (mask - 1):
-            edges[eid] = (interior, upper)
-            while mask:
-                leaf = mask & -mask
-                holder[leaf] = interior
-                mask ^= leaf
-            interior += 1
-        else:
-            edges[eid] = (mask.bit_length() - 1, upper)
-    return XTree(edges, {x: i for i, x in enumerate(labels)})
-
-
 def star_tree(labels):
     """The tree with a single interior vertex adjacent to every leaf."""
     labels = sorted(labels)
-    return _tree_from_splits(labels, {i: 1 << i for i in range(len(labels))})
+    return XTree(labels, {i: 1 << i for i in range(len(labels))})
 
 
 def quartet_tree(a, b, c, d):
@@ -581,7 +562,7 @@ def caterpillar_tree(labels):
     bits = [1 << order.index(i) for i in range(len(labels))]
     # pendant edges first, then the path edges cutting off each longer prefix
     path = list(itertools.accumulate(bits))[1:-2]
-    return _tree_from_splits(sorted(labels), dict(enumerate(bits + path)))
+    return XTree(sorted(labels), dict(enumerate(bits + path)))
 
 
 # -- growth by leaf insertion ------------------------------------------------
@@ -628,19 +609,18 @@ def hang_leaf(tree, label, binary=False):
     last = tree.edge_ids[-1]
     ids = [*tree.edge_ids, last + 1, last + 2]
     for clusters in _hangings(_clusters(tree, labels), 1 << labels.index(label), binary):
-        yield _tree_from_splits(labels, dict(zip(ids, clusters)))
+        yield XTree(labels, dict(zip(ids, clusters)))
 
 
 def grow(labels, binary=False):
-    """Depth-first: every tree on the distinct ``labels``, grown from the star
-    on the first three by hanging the others in order (``_hangings``).  Only
-    the grown trees are built, with their list positions as edge ids."""
-    if len(set(labels)) != len(labels):
-        raise ValueError("labels must be distinct")
+    """Depth-first: every tree on the sorted, distinct ``labels``, grown from
+    the star on the first three by hanging the others in order
+    (``_hangings``).  Only the grown trees are built, with their list
+    positions as edge ids."""
 
     def walk(clusters, k):
         if k >= len(labels):
-            yield _tree_from_splits(labels, dict(enumerate(clusters)))
+            yield XTree(labels, dict(enumerate(clusters)))
             return
         for grown in _hangings(clusters, 1 << k, binary):
             yield from walk(grown, k + 1)

@@ -20,13 +20,15 @@ def cords(*pairs):
 
 @lru_cache(maxsize=None)
 def trees_on(n):
-    """All tree shapes on the first n letters (cached across tests)."""
-    return tuple(lm.enumerate_xtrees(letters(n)))
+    """All tree shapes on the first n letters, sorted by canonical form: a
+    test that draws them by position or by a seeded choice gets the same
+    shapes whatever order the enumeration yields (cached across tests)."""
+    return tuple(sorted(lm.enumerate_xtrees(letters(n)), key=lm.XTree.canonical_form))
 
 
 @lru_cache(maxsize=None)
 def binary_trees_on(n):
-    return tuple(lm.enumerate_binary_xtrees(letters(n)))
+    return tuple(sorted(lm.enumerate_binary_xtrees(letters(n)), key=lm.XTree.canonical_form))
 
 
 def snowflake():

@@ -135,25 +135,49 @@ def test_newick_roundtrip_of_grown_shapes(t, weighted, data):
 
 
 def test_xtree_validation_messages():
-    abc = {"a": 0, "b": 1, "c": 2}
-    star = {0: (0, 3), 1: (1, 3), 2: (2, 3)}
+    star = {0: 0b001, 1: 0b010, 2: 0b100}
+    quartet = {0: 0b0001, 1: 0b0010, 2: 0b0100, 3: 0b1000, 4: 0b0011}
     cases = [
-        (star, {"a": 0, "b": 0, "c": 2}, "do not map to distinct vertices"),
-        ({**star, 0: (0, 0)}, abc, "edge 0 is not a 2-set"),
-        ({0: (0, 2)}, {"a": 0, "b": 1}, "at least 3 leaves"),
-        ({**star, 3: (4, 5)}, abc, "edge count does not match a tree"),
-        (star, {"a": 0, "b": 1, "c": 9}, "degree-1 vertices must be exactly"),
-        ({**star, 3: (3, 4), 4: (4, 5)}, {**abc, "d": 5}, "vertex 4 has degree 2"),
+        ("ab", {0: 0b01, 1: 0b10}, "at least 3 leaves"),
+        ("acb", star, "strictly increasing"),
+        ("aab", star, "strictly increasing"),
+        ("abc", {**star, 3: 0}, "split of edge 3 must hold some leaves but not all"),
+        ("abc", {**star, 3: 0b111}, "split of edge 3 must hold some leaves but not all"),
+        # ab|cd given from both sides is one split
+        ("abcd", {**quartet, 5: 0b1100}, "edges 4 and 5 have the same split"),
+        ("abcde", {i: 1 << i for i in range(5)} | {5: 0b00110, 6: 0b01100},
+         "split of edge 5 crosses another split"),
+        ("abcd", {k: v for k, v in quartet.items() if k != 3}, "leaf 'd' has no edge"),
+        ("abc", {1: 0b010, 2: 0b100}, "leaf 'a' has no edge"),
     ]
-    # three stars and a K4: one edge fewer than vertices, every degree allowed
-    stars = {3 * s + j: (10 * s + j, 100 + s) for s in range(3) for j in range(3)}
-    k4 = itertools.combinations(range(200, 204), 2)
-    stars.update((9 + i, pair) for i, pair in enumerate(k4))
-    cases.append((stars, {x: 10 * (i // 3) + i % 3 for i, x in enumerate("abcdefghi")},
-                  "tree is not connected"))
-    for edges, leaves, message in cases:
+    for labels, splits, message in cases:
         with pytest.raises(ValueError, match=message):
-            XTree(edges, leaves)
+            XTree(labels, splits)
+
+
+def test_xtree_builds_exactly_the_nested_split_families():
+    # the six singletons of abcdef with one to three of the 25 clusters of
+    # 2 to 4 leaves without a: a family is built, with exactly its splits,
+    # iff no two of its clusters cross, and refused as crossing otherwise
+    labels = "abcdef"
+    clusters = [sum(1 << i for i in picked) for k in (2, 3, 4)
+                for picked in itertools.combinations(range(1, 6), k)]
+    built = refused = 0
+    for r in (1, 2, 3):
+        for family in itertools.combinations(clusters, r):
+            splits = dict(enumerate([1 << i for i in range(6)] + list(family)))
+            if any(a & b not in (0, a, b) for a, b in itertools.combinations(family, 2)):
+                with pytest.raises(ValueError, match="crosses another split"):
+                    XTree(labels, splits)
+                refused += 1
+                continue
+            t = XTree(labels, splits)
+            for eid, mask in splits.items():
+                side = {x for i, x in enumerate(labels) if mask >> i & 1}
+                assert {t.side(eid, v) for v in t.edges[eid]} == {
+                    frozenset(side), frozenset(labels) - side}
+            built += 1
+    assert (built, refused) == (235, 2390)
 
 
 def test_side_splits_the_leaves_at_an_edge(quartet):
