@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import matroid
 from .errors import ScaleBoundError
-from .tree import XTree, all_cords, cord, quartet_topology
+from .tree import XTree, cord, quartet_topology
 
 
 def _cycle_with_diagonals(pair1, pair2):
@@ -125,24 +125,14 @@ def tree_from_oracle(rank_oracle, labels, max_leaves=24):
 
 
 def matroids_equal(tree1, tree2, max_leaves=6):
-    """Whether the two trees' cord matroids have identical rank functions.
-
-    Ranks are compared on every cord subset of size up to one above the
-    larger edge count; that is enough because a rank function is determined
-    by which sets of size up to the rank are independent.
-    """
+    """Whether the two trees' cord matroids are equal: a matroid is fixed by
+    its bases, so compare the two basis sets."""
     if tree1.leaves != tree2.leaves:
         raise ValueError("trees have different leaf sets")
     if tree1.n_leaves > max_leaves:
         raise ScaleBoundError(
             f"{tree1.n_leaves} leaves exceeds the comparison bound of {max_leaves}")
-    cords = sorted(all_cords(tree1.leaves))
-    limit = max(len(tree1.edge_ids), len(tree2.edge_ids)) + 1
-    for size in range(1, min(limit, len(cords)) + 1):
-        for combo in itertools.combinations(cords, size):
-            if matroid.rank_of(tree1, combo) != matroid.rank_of(tree2, combo):
-                return False
-    return True
+    return set(matroid.bases(tree1, max_leaves)) == set(matroid.bases(tree2, max_leaves))
 
 
 @dataclass(frozen=True)

@@ -3,9 +3,10 @@
 On a star tree every cord's path uses exactly the two pendant edges at its
 ends, so the cord matroid is the even-cycle matroid of the graph whose
 vertices are the leaves and whose edges are the cords.  Spanning sets,
-independence, circuits, rank and closure then have purely combinatorial
-descriptions in terms of connected components, cycles and parity; each rule
-here is cross-checked against the linear-algebra oracle in the tests.
+independence, rank and closure then have purely combinatorial descriptions
+in terms of connected components, cycles and parity, and circuits are read
+off the rank and independence rules; each rule here is cross-checked
+against the linear-algebra oracle in the tests.
 """
 
 from __future__ import annotations
@@ -129,74 +130,16 @@ def star_closure(labels, cords):
     return frozenset(out)
 
 
-def _trace_cycle(adjacency, start, first):
-    """Walk from ``start`` through ``first`` along degree-2 vertices; return the
-    vertex walk, ending at the first revisit of ``start`` or at a branch vertex."""
-    walk = [start, first]
-    prev, cur = start, first
-    while cur != start and len(adjacency[cur]) == 2:
-        nxt = next(w for w in adjacency[cur] if w != prev)
-        walk.append(nxt)
-        prev, cur = cur, nxt
-    return walk
-
-
 def star_is_circuit(labels, cords):
-    """Minimal dependent sets of the star matroid, recognized structurally.
+    """Minimal dependent sets of the star matroid, by the definition: the
+    rank is one below the size, and dropping any one cord leaves the rest
+    independent.
 
-    Exactly the even cycles, the pairs of odd cycles sharing one vertex, and
-    the pairs of disjoint odd cycles joined by a simple path meeting each
-    cycle in a single end.
+    These are the circuits of the all-negative signed graph (Zaslavsky,
+    "Signed graphs", Discrete Appl. Math. 4, 1982): the even cycles, the
+    pairs of odd cycles sharing one vertex, and the pairs of disjoint odd
+    cycles joined by a simple path meeting each cycle in a single end.
     """
     cords = frozenset(cords)
-    if not cords:
-        return False
-    support = set()
-    for a, b in cords:
-        support.add(a)
-        support.add(b)
-    report = analyze(support, cords)
-    if len(report.components) != 1:
-        return False
-    adjacency = {v: [] for v in support}
-    for a, b in cords:
-        adjacency[a].append(b)
-        adjacency[b].append(a)
-    degrees = sorted(len(adjacency[v]) for v in support)
-    if degrees[0] < 2:
-        return False
-    if all(d == 2 for d in degrees):
-        # one single cycle; minimal-dependent iff even
-        return len(cords) % 2 == 0
-    if degrees[-1] == 4 and degrees[-2] == 2:
-        # two cycles glued at one vertex: both must be odd
-        hub = next(v for v in support if len(adjacency[v]) == 4)
-        nbrs = list(adjacency[hub])
-        first_walk = _trace_cycle(adjacency, hub, nbrs[0])
-        if first_walk[-1] != hub:
-            return False
-        len1 = len(first_walk) - 1
-        len2 = len(cords) - len1
-        return len1 % 2 == 1 and len2 % 2 == 1
-    if degrees[-1] == 3 and degrees[-2] == 3 and all(d == 2 for d in degrees[:-2]):
-        # candidate: two cycles joined by a path (ends degree 3) or a theta graph
-        u, v = sorted(x for x in support if len(adjacency[x]) == 3)
-        cycle_lengths = []
-        path_found = False
-        for first in adjacency[u]:
-            walk = _trace_cycle(adjacency, u, first)
-            if walk[-1] == u:
-                # each cycle at u is traced once from each side
-                cycle_lengths.append(len(walk) - 1)
-            elif walk[-1] == v:
-                path_found = True
-        if not path_found or not cycle_lengths:
-            return False  # a theta graph: every walk from u reaches v
-        len1 = cycle_lengths[0]
-        for first in adjacency[v]:
-            walk = _trace_cycle(adjacency, v, first)
-            if walk[-1] == v:
-                len2 = len(walk) - 1
-                return len1 % 2 == 1 and len2 % 2 == 1
-        return False
-    return False
+    return (star_rank(labels, cords) == len(cords) - 1
+            and all(star_is_independent(labels, cords - {c}) for c in cords))

@@ -554,10 +554,6 @@ def quartet_tree(a, b, c, d):
 def caterpillar_tree(labels):
     """Binary tree whose leaves hang off a single interior path, in order."""
     labels = list(labels)
-    if len(labels) < 4:
-        if len(labels) == 3:
-            return star_tree(labels)
-        raise ValueError("need at least 3 labels")
     order = sorted(range(len(labels)), key=labels.__getitem__)
     bits = [1 << order.index(i) for i in range(len(labels))]
     # pendant edges first, then the path edges cutting off each longer prefix
@@ -577,7 +573,7 @@ def _clusters(tree, labels):
             sum(b for i, b in enumerate(bits) if mask >> i & 1) for mask in tree._below]
 
 
-def _hangings(clusters, x, binary=False):
+def _hangings(clusters, x):
     """Every cluster list made by hanging the new leaf bit ``x`` in one place.
 
     Rooted at a leaf, a tree is fixed by its clusters, each edge's side away
@@ -585,34 +581,33 @@ def _hangings(clusters, x, binary=False):
     to every cluster strictly containing C, keeps C in place (the lower
     half) and appends C|x and {x}.  Hanging it on the interior vertex below
     a cluster C of two leaves or more, one per vertex, adds x to every
-    cluster containing C and appends {x}.  Edges come first, then (unless
-    ``binary``) vertices.  Removing x, and a vertex left with degree 2,
-    gives back the tree, so growth from a 3-leaf star meets each shape once.
+    cluster containing C and appends {x}.  Edges come first, then vertices.
+    Removing x, and a vertex left with degree 2, gives back the tree, so
+    growth from a 3-leaf star meets each shape once.
     """
     for C in clusters:
         yield [c | x if c & C == C and c != C else c for c in clusters] + [C | x, x]
-    if not binary:
-        for C in clusters:
-            if C & (C - 1):
-                yield [c | x if c & C == C else c for c in clusters] + [x]
+    for C in clusters:
+        if C & (C - 1):
+            yield [c | x if c & C == C else c for c in clusters] + [x]
 
 
-def hang_leaf(tree, label, binary=False):
+def hang_leaf(tree, label):
     """Every tree made by hanging a new leaf on each edge of ``tree``, then
-    (unless ``binary``) on each interior vertex, by ``_hangings``.  Each edge
-    keeps its id, a subdivided one for its half away from the first leaf,
-    and the new edges take the next ids.
+    on each interior vertex, by ``_hangings``.  Each edge keeps its id, a
+    subdivided one for its half away from the first leaf, and the new edges
+    take the next ids.
     """
     if label in tree._leaf_vertex:
         raise ValueError(f"leaf label {label!r} is already in the tree")
     labels = sorted([*tree.leaves, label])
     last = tree.edge_ids[-1]
     ids = [*tree.edge_ids, last + 1, last + 2]
-    for clusters in _hangings(_clusters(tree, labels), 1 << labels.index(label), binary):
+    for clusters in _hangings(_clusters(tree, labels), 1 << labels.index(label)):
         yield XTree(labels, dict(zip(ids, clusters)))
 
 
-def grow(labels, binary=False):
+def grow(labels):
     """Depth-first: every tree on the sorted, distinct ``labels``, grown from
     the star on the first three by hanging the others in order
     (``_hangings``).  Only the grown trees are built, with their list
@@ -622,15 +617,17 @@ def grow(labels, binary=False):
         if k >= len(labels):
             yield XTree(labels, dict(enumerate(clusters)))
             return
-        for grown in _hangings(clusters, 1 << k, binary):
+        for grown in _hangings(clusters, 1 << k):
             yield from walk(grown, k + 1)
 
     yield from walk([0b110, 0b010, 0b100], 3)   # the star, rooted at leaf 0
 
 
 def enumerate_binary_xtrees(labels):
-    """All binary trees on the labels, one per equivalence class."""
-    return list(grow(sorted(labels), binary=True))
+    """All binary trees on the labels, one per equivalence class, in
+    ``grow``'s order: a binary tree grows only from binary trees, by edge
+    hangings."""
+    return [t for t in grow(sorted(labels)) if t.is_binary()]
 
 
 def enumerate_xtrees(labels, max_leaves=8):

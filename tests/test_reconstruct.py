@@ -139,6 +139,20 @@ def test_matroids_equal_iff_equivalent_n4():
         assert reconstruct.matroids_equal(t1, t2) == lm.are_equivalent(t1, t2)
 
 
+def test_matroids_equal_iff_equivalent_on_a_six_leaf_sample():
+    # at the default bound: each sampled shape against its own Newick text
+    # (equal, other edge ids), a random shape and itself with one interior
+    # edge collapsed (one split apart)
+    rng = random.Random(23)
+    shapes = trees_on(6)
+    for t in rng.sample(shapes, 10):
+        others = [lm.tree_from_newick(t.to_newick()), rng.choice(shapes)]
+        if t.interior_edge_ids:
+            others.append(t.contract([rng.choice(t.interior_edge_ids)]))
+        for other in others:
+            assert reconstruct.matroids_equal(t, other) == lm.are_equivalent(t, other)
+
+
 def test_matroids_equal_leaf_set_guard(quartet, star5):
     with pytest.raises(ValueError):
         reconstruct.matroids_equal(quartet, star5)

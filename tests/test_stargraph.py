@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 import lassomatroid as lm
@@ -64,6 +65,11 @@ def test_star_is_circuit_examples():
     # a theta graph is dependent but never minimal
     theta = cords("ab", "bc", "ad", "dc", "ac")
     assert not stargraph.star_is_circuit("abcd", theta)
+
+
+def test_star_is_circuit_refuses_a_cord_outside_the_labels():
+    with pytest.raises(ValueError, match="leaves the vertex set"):
+        stargraph.star_is_circuit("abc", cords("ab", "bd"))
 
 
 def test_star_rank_examples():

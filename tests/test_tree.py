@@ -401,6 +401,15 @@ def test_caterpillar_flags(star3, star4, cat6):
     assert cat6.is_caterpillar()
 
 
+def test_caterpillar_tree_on_three_labels_is_the_star():
+    with pytest.raises(ValueError, match="an X-tree needs at least 3 leaves"):
+        lm.caterpillar_tree("ab")
+    labels = ["c", "a", "b"]
+    t = lm.caterpillar_tree(labels)
+    assert lm.are_equivalent(t, lm.star_tree("abc"))
+    assert [t.pendant_edge(x) for x in labels] == [0, 1, 2]
+
+
 def test_equivalence_ignores_child_order():
     t1 = lm.tree_from_newick("((a,b),(c,d));")
     t2 = lm.tree_from_newick("((c,d),(b,a));")
@@ -449,10 +458,11 @@ def test_enumeration_is_duplicate_free():
 def test_hang_leaf_places_the_leaf_once_per_edge_and_interior_vertex():
     for t in trees_on(5):
         grown = list(hang_leaf(t, "f"))
-        binary = list(hang_leaf(t, "f", binary=True))
-        assert len(grown) == len(t.edge_ids) + len(t.interior_vertices)
-        assert [g.canonical_form() for g in binary] == [g.canonical_form()
-                                                        for g in grown[:len(binary)]]
+        m = len(t.edge_ids)
+        assert len(grown) == m + len(t.interior_vertices)
+        # an edge hanging subdivides the edge, a vertex hanging adds no vertex
+        added = [len(g.interior_vertices) - len(t.interior_vertices) for g in grown]
+        assert added == [1] * m + [0] * (len(grown) - m)
         assert len({g.canonical_form() for g in grown}) == len(grown)
         for g in grown:
             assert lm.are_equivalent(g.restrict(t.leaves)[0], t)
