@@ -6,6 +6,9 @@ blank lines ignored), and all emit either line-oriented text or, with
 --json, one JSON object per result line.  Output ordering is deterministic:
 cords sort lexicographically and trees print in canonical Newick.
 
+Bounded subcommands pass --max-leaves, else $LASSO_MATROID_MAX_LEAVES, to
+the library; with neither, the library's own default bound applies.
+
 Exit codes: 0 success, 1 negative verdict of a predicate, 2 usage or parse
 error, 3 desk-scale bound exceeded, 4 internal error (a bug: the traceback
 and an "internal error:" line go to stderr).
@@ -14,6 +17,7 @@ and an "internal error:" line go to stderr).
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import os
 import sys
@@ -21,19 +25,20 @@ import traceback
 
 from . import lasso, matroid, reconstruct, stargraph
 from .errors import NewickError, ScaleBoundError
-from .tree import LABEL_RE, cord, enumerate_xtrees, parse_newick, quartet_topology
+from .tree import LABEL_RE, XTree, cord, enumerate_xtrees, parse_newick, quartet_topology
 
 ENV_MAX_LEAVES = "LASSO_MATROID_MAX_LEAVES"
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
-def _load_tree(args):
-    if getattr(args, "newick", None):
+def _load(args):
+    """The tree, and the cords when the subcommand takes --cords (else None)."""
+    if args.newick:
         text = args.newick
-    elif getattr(args, "tree", None):
+    elif args.tree:
         try:
             with open(args.tree) as fh:
                 text = fh.read().strip()
@@ -41,8 +46,18 @@ def _load_tree(args):
             raise _UsageError(f"cannot read tree file: {exc}")
     else:
         raise _UsageError("a tree is required: pass --newick TEXT or --tree FILE")
-    tree, weighting = parse_newick(text)
-    return tree, weighting
+    tree, _ = parse_newick(text)
+    if "cords" not in args:
+        return tree, None
+    if args.cords is None:
+        raise _UsageError("this command needs --cords FILE")
+    if args.cords == "-":
+        return tree, read_cord_file(sys.stdin, tree.leaves)
+    try:
+        with open(args.cords) as fh:
+            return tree, read_cord_file(fh, tree.leaves)
+    except OSError as exc:
+        raise _UsageError(f"cannot read cord file: {exc}")
 
 
 def read_cord_file(handle, leaves):
@@ -65,40 +80,35 @@ def read_cord_file(handle, leaves):
     return frozenset(cords)
 
 
-def _load_cords(args, tree):
-    if getattr(args, "cords", None) is None:
-        raise _UsageError("this command needs --cords FILE")
-    if args.cords == "-":
-        return read_cord_file(sys.stdin, tree.leaves)
-    try:
-        with open(args.cords) as fh:
-            return read_cord_file(fh, tree.leaves)
-    except OSError as exc:
-        raise _UsageError(f"cannot read cord file: {exc}")
-
-
-def _max_leaves(args, fallback):
-    if getattr(args, "max_leaves", None) is not None:
-        return args.max_leaves
+def _bound(args):
+    """``max_leaves`` from --max-leaves, else from the environment; with
+    neither, nothing, so the library's own default applies."""
+    if args.max_leaves is not None:
+        return {"max_leaves": args.max_leaves}
     env = os.environ.get(ENV_MAX_LEAVES)
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError:
-            raise _UsageError(f"{ENV_MAX_LEAVES} must be an integer, got {env!r}")
-    return fallback
+    if env is None:
+        return {}
+    try:
+        return {"max_leaves": int(env)}
+    except ValueError:
+        raise _UsageError(f"{ENV_MAX_LEAVES} must be an integer, got {env!r}")
 
 
-def _cord_text(c):
-    return f"{c[0]}-{c[1]}"
+def _text(cords):
+    return " ".join(f"{a}-{b}" for a, b in sorted(cords))
 
 
-def _cordset_text(cords):
-    return " ".join(_cord_text(c) for c in sorted(cords))
-
-
-def _cordset_json(cords):
+def _json(cords):
     return [list(c) for c in sorted(cords)]
+
+
+def _word(value):
+    return "undecided (scale)" if value is None else str(value).lower()
+
+
+def _fields(record, keys):
+    """'key: value' lines; 'edge-weight' reads the record's 'edge_weight'."""
+    return [f"{key}: {_word(record[key.replace('-', '_')])}" for key in keys]
 
 
 def _emit(args, text, record):
@@ -106,6 +116,30 @@ def _emit(args, text, record):
         print(json.dumps(record, sort_keys=True))
     else:
         print(text)
+
+
+def _report(args, text, record):
+    """Emit one report; exit 1 when the record's field named by --predicate
+    is false."""
+    _emit(args, text, record)
+    name = getattr(args, "predicate", None)
+    if name is None:
+        return 0
+    value = record[name.replace("-", "_")]
+    if value is None:
+        raise ScaleBoundError(f"predicate {name!r} is undecided at this scale")
+    return 0 if value else 1
+
+
+def _emit_each(args, key, items, text=_text, value=_json):
+    """One line per item, {key: value(item)} or text(item), or with --count
+    only how many items there are."""
+    if getattr(args, "count", False):
+        n = sum(1 for _ in items)
+        return _report(args, n, n)
+    for item in items:
+        _emit(args, text(item), {key: value(item)})
+    return 0
 
 
 def _find_edge_by_split(tree, split_text):
@@ -116,8 +150,7 @@ def _find_edge_by_split(tree, split_text):
         side_b = frozenset(x for x in right.split(",") if x)
     except ValueError:
         raise _UsageError("--split expects 'a,b|c,d'")
-    leaves = frozenset(tree.leaves)
-    if side_a | side_b != leaves or side_a & side_b:
+    if side_a | side_b != frozenset(tree.leaves) or side_a & side_b:
         raise _UsageError("--split must partition the leaf set")
     for eid, ends in tree.edges.items():
         if tree.side(eid, next(iter(ends))) in (side_a, side_b):
@@ -125,160 +158,108 @@ def _find_edge_by_split(tree, split_text):
     raise _UsageError(f"no edge induces the split {split_text!r}")
 
 
-def _predicate_exit(args, flags):
-    """Exit 1 when the field named by --predicate is false."""
-    name = getattr(args, "predicate", None)
-    if name is None:
-        return 0
-    value = flags.get(name)
-    if value is None:
-        raise ScaleBoundError(f"predicate {name!r} is undecided at this scale")
-    return 0 if value else 1
-
-
 # -- subcommand bodies ---------------------------------------------------------
 
 
 def _cmd_rank(args):
-    tree, _ = _load_tree(args)
-    cords = _load_cords(args, tree)
+    tree, cords = _load(args)
     r = matroid.rank_of(tree, cords)
-    _emit(args, f"rank: {r}", {"rank": r})
-    return 0
+    return _report(args, f"rank: {r}", {"rank": r})
 
 
 def _cmd_verdict(args):
-    tree, _ = _load_tree(args)
-    cords = _load_cords(args, tree)
+    tree, cords = _load(args)
     v = matroid.verdict(tree, cords)
     record = {"rank": v.rank, "independent": v.independent,
               "lasso": v.lasso, "basis": v.basis}
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for key in ("rank", "independent", "lasso", "basis"):
-            print(f"{key}: {str(record[key]).lower()}")
-    return _predicate_exit(args, record)
+    return _report(args, "\n".join(_fields(record, record)), record)
 
 
 def _cmd_closure(args):
-    tree, _ = _load_tree(args)
-    cords = _load_cords(args, tree)
-    for c in sorted(matroid.closure(tree, cords)):
-        _emit(args, _cord_text(c), {"cord": list(c)})
-    return 0
+    tree, cords = _load(args)
+    return _emit_each(args, "cord", sorted(matroid.closure(tree, cords)), "-".join, list)
 
 
 def _cmd_coloops(args):
-    tree, _ = _load_tree(args)
-    for c in sorted(matroid.coloops(tree)):
-        _emit(args, _cord_text(c), {"cord": list(c)})
-    return 0
+    tree, _ = _load(args)
+    return _emit_each(args, "cord", sorted(matroid.coloops(tree)), "-".join, list)
 
 
 def _cmd_bases(args):
-    tree, _ = _load_tree(args)
-    stream = matroid.bases(tree, max_leaves=_max_leaves(args, 7))
-    if args.count:
-        print(sum(1 for _ in stream))
-        return 0
-    for b in stream:
-        _emit(args, _cordset_text(b), {"basis": _cordset_json(b)})
-    return 0
+    tree, _ = _load(args)
+    return _emit_each(args, "basis", matroid.bases(tree, **_bound(args)))
 
 
 def _cmd_circuits(args):
-    tree, _ = _load_tree(args)
-    for c in matroid.circuits(tree, max_size=args.max_size, max_leaves=_max_leaves(args, 7)):
-        _emit(args, _cordset_text(c), {"circuit": _cordset_json(c)})
-    return 0
+    tree, _ = _load(args)
+    return _emit_each(args, "circuit",
+                      matroid.circuits(tree, max_size=args.max_size, **_bound(args)))
 
 
 def _cmd_star(args):
-    tree, _ = _load_tree(args)
-    cords = _load_cords(args, tree)
+    tree, cords = _load(args)
+    interior = len(tree.interior_vertices)
+    if interior > 1:
+        raise _UsageError(f"star rules need a star tree, with one interior vertex; "
+                          f"this tree has {interior}")
     labels = tree.leaves
-    report = stargraph.analyze(labels, cords)
-    flags = {
+    components = stargraph.analyze(labels, cords).components
+    closure = stargraph.star_closure(labels, cords)
+    record = {
         "lasso": stargraph.star_is_lasso(labels, cords),
         "independent": stargraph.star_is_independent(labels, cords),
         "basis": stargraph.star_is_basis(labels, cords),
         "circuit": stargraph.star_is_circuit(labels, cords),
         "rank": stargraph.star_rank(labels, cords),
-    }
-    closure = stargraph.star_closure(labels, cords)
-    if args.json:
-        record = dict(flags)
-        record["closure"] = _cordset_json(closure)
-        record["components"] = [
-            {"vertices": sorted(comp.vertices), "edges": _cordset_json(comp.edges),
+        "closure": _json(closure),
+        "components": [
+            {"vertices": sorted(comp.vertices), "edges": _json(comp.edges),
              "bipartite": comp.bipartite, "cycles": comp.cycle_count}
-            for comp in report.components
-        ]
-        print(json.dumps(record, sort_keys=True))
-    else:
-        for comp in report.components:
-            kind = "bipartite" if comp.bipartite else "odd"
-            print(f"component: {','.join(sorted(comp.vertices))} "
-                  f"[{kind}, cycles={comp.cycle_count}]")
-        for key in ("rank", "lasso", "independent", "basis", "circuit"):
-            print(f"{key}: {str(flags[key]).lower()}")
-        print(f"closure: {_cordset_text(closure)}")
-    return _predicate_exit(args, flags)
+            for comp in components
+        ],
+    }
+    text = [f"component: {','.join(sorted(comp.vertices))} "
+            f"[{'bipartite' if comp.bipartite else 'odd'}, cycles={comp.cycle_count}]"
+            for comp in components]
+    text += _fields(record, ("rank", "lasso", "independent", "basis", "circuit"))
+    text.append(f"closure: {_text(closure)}")
+    return _report(args, "\n".join(text), record)
 
 
 def _cmd_contract_bases(args):
-    tree, _ = _load_tree(args)
+    tree, _ = _load(args)
     eid = _find_edge_by_split(tree, args.split)
     if not tree.is_interior_edge(eid):
         raise _UsageError("--split selects a pendant edge; pick an interior split")
-    bound = _max_leaves(args, 7)
-    for b in matroid.contraction_bases(tree, eid, max_leaves=bound):
-        _emit(args, _cordset_text(b), {"basis": _cordset_json(b)})
-    return 0
+    return _emit_each(args, "basis", matroid.contraction_bases(tree, eid, **_bound(args)))
 
 
 def _cmd_pointed_covers(args):
-    tree, _ = _load_tree(args)
+    tree, _ = _load(args)
     if args.leaf not in tree.leaves:
         raise _UsageError(f"--leaf {args.leaf!r} is not a leaf of the tree")
-    for cover in lasso.pointed_covers(tree, args.leaf):
-        _emit(args, _cordset_text(cover), {"cover": _cordset_json(cover)})
-    return 0
+    return _emit_each(args, "cover", lasso.pointed_covers(tree, args.leaf))
 
 
 def _cmd_lasso(args):
-    tree, _ = _load_tree(args)
-    cords = _load_cords(args, tree)
-    bound = _max_leaves(args, 6)
-    report = lasso.lasso_report(tree, cords, max_leaves=bound)
-    undecided = "undecided (scale)"
+    tree, cords = _load(args)
+    report = lasso.lasso_report(tree, cords, **_bound(args))
     record = {
         "rank": report.rank,
         "edge_weight": report.edge_weight,
         "topological": report.topological,
         "strong": report.strong,
-        "bipartition": ([sorted(report.bipartition[0]), sorted(report.bipartition[1])]
+        "bipartition": ([sorted(side) for side in report.bipartition]
                         if report.bipartition else None),
     }
-    if args.json:
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(f"rank: {report.rank}")
-        print(f"edge-weight: {str(report.edge_weight).lower()}")
-        print(f"topological: {undecided if report.topological is None else str(report.topological).lower()}")
-        print(f"strong: {undecided if report.strong is None else str(report.strong).lower()}")
-        if report.bipartition:
-            a, b = report.bipartition
-            print(f"bipartition: {','.join(sorted(a))} | {','.join(sorted(b))}")
-    flags = {"edge-weight": report.edge_weight, "topological": report.topological,
-             "strong": report.strong}
-    return _predicate_exit(args, flags)
+    text = _fields(record, ("rank", "edge-weight", "topological", "strong"))
+    if report.bipartition:
+        text.append("bipartition: " + " | ".join(",".join(side) for side in record["bipartition"]))
+    return _report(args, "\n".join(text), record)
 
 
 def _cmd_quartets(args):
-    tree, _ = _load_tree(args)
-    import itertools
+    tree, _ = _load(args)
     for four in itertools.combinations(tree.leaves, 4):
         topo = quartet_topology(tree, four)
         if topo is None:
@@ -289,32 +270,21 @@ def _cmd_quartets(args):
 
 
 def _cmd_reconstruct(args):
-    if args.oracle_from:
-        source, _ = parse_newick(args.oracle_from)
-    else:
-        source, _ = _load_tree(args)
-    bound = _max_leaves(args, 24)
+    source = parse_newick(args.oracle_from)[0] if args.oracle_from else _load(args)[0]
     rebuilt = reconstruct.tree_from_oracle(matroid.rank_oracle(source), source.leaves,
-                                           max_leaves=bound)
-    _emit(args, rebuilt.to_newick(), {"newick": rebuilt.to_newick()})
-    return 0
+                                           **_bound(args))
+    return _report(args, rebuilt.to_newick(), {"newick": rebuilt.to_newick()})
 
 
 def _cmd_binary_check(args):
-    tree, _ = _load_tree(args)
-    bound = _max_leaves(args, 6)
-    verdict = reconstruct.is_binary_matroid(tree, max_leaves=bound)
-    if args.json:
-        record = {"binary": verdict.is_binary}
-        if verdict.violation:
-            record["violation"] = [_cordset_json(v) for v in verdict.violation]
-        print(json.dumps(record, sort_keys=True))
-    else:
-        print(f"binary: {str(verdict.is_binary).lower()}")
-        if verdict.violation:
-            c1, c2 = verdict.violation
-            print(f"violating circuits: {_cordset_text(c1)} / {_cordset_text(c2)}")
-    return 0 if verdict.is_binary else 1
+    tree, _ = _load(args)
+    verdict = reconstruct.is_binary_matroid(tree, **_bound(args))
+    record = {"binary": verdict.is_binary}
+    text = _fields(record, record)
+    if verdict.violation:
+        record["violation"] = [_json(v) for v in verdict.violation]
+        text.append("violating circuits: " + " / ".join(map(_text, verdict.violation)))
+    return _report(args, "\n".join(text), record)
 
 
 def _cmd_enumerate_trees(args):
@@ -325,22 +295,11 @@ def _cmd_enumerate_trees(args):
                               "(letters, digits and underscores only)")
     if len(set(labels)) != len(labels):
         raise _UsageError("--leaves must be distinct")
-    bound = _max_leaves(args, 8)
-    stream = enumerate_xtrees(labels, max_leaves=bound)
-    if args.count:
-        print(sum(1 for _ in stream))
-        return 0
-    for t in stream:
-        _emit(args, t.to_newick(), {"newick": t.to_newick()})
-    return 0
+    return _emit_each(args, "newick", enumerate_xtrees(labels, **_bound(args)),
+                      XTree.to_newick, XTree.to_newick)
 
 
 # -- wiring ---------------------------------------------------------------------
-
-
-def _add_tree_args(sub):
-    sub.add_argument("--tree", help="file containing a Newick tree")
-    sub.add_argument("--newick", help="Newick text for the tree")
 
 
 def build_parser():
@@ -350,44 +309,44 @@ def build_parser():
                     "bases, circuits, and tree recovery, all in exact arithmetic.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, tree=True, cords=False, max_leaves=False, **extra):
+    def add(name, fn, tree=True, cords=False, max_leaves=False, predicate=None):
         p = sub.add_parser(name)
         if tree:
-            _add_tree_args(p)
+            p.add_argument("--tree", help="file containing a Newick tree")
+            p.add_argument("--newick", help="Newick text for the tree")
         if cords:
             p.add_argument("--cords", help="cord file ('label label' per line, '-' for stdin)")
         if max_leaves:
             p.add_argument("--max-leaves", type=int,
                            help=f"desk-scale bound (overrides ${ENV_MAX_LEAVES})")
         p.add_argument("--json", action="store_true", help="one JSON object per line")
+        if predicate:
+            p.add_argument("--predicate", choices=predicate,
+                           help="exit 1 when this flag is false")
         p.set_defaults(fn=fn)
         return p
 
     add("rank", _cmd_rank, cords=True)
-    p = add("verdict", _cmd_verdict, cords=True)
-    p.add_argument("--predicate", choices=["independent", "lasso", "basis"],
-                   help="exit 1 when this flag is false")
+    add("verdict", _cmd_verdict, cords=True, predicate=["independent", "lasso", "basis"])
     add("closure", _cmd_closure, cords=True)
     add("coloops", _cmd_coloops)
     p = add("bases", _cmd_bases, max_leaves=True)
     p.add_argument("--count", action="store_true", help="print only the number of bases")
     p = add("circuits", _cmd_circuits, max_leaves=True)
     p.add_argument("--max-size", type=int, default=None)
-    p = add("star", _cmd_star, cords=True)
-    p.add_argument("--predicate", choices=["lasso", "independent", "basis", "circuit"],
-                   help="exit 1 when this flag is false")
+    add("star", _cmd_star, cords=True, predicate=["lasso", "independent", "basis", "circuit"])
     p = add("contract-bases", _cmd_contract_bases, max_leaves=True)
     p.add_argument("--split", required=True,
                    help="interior edge named by its leaf split, e.g. 'a,b|c,d'")
     p = add("pointed-covers", _cmd_pointed_covers)
     p.add_argument("--leaf", required=True, help="anchor leaf")
-    p = add("lasso", _cmd_lasso, cords=True, max_leaves=True)
-    p.add_argument("--predicate", choices=["edge-weight", "topological", "strong"],
-                   help="exit 1 when this flag is false")
+    add("lasso", _cmd_lasso, cords=True, max_leaves=True,
+        predicate=["edge-weight", "topological", "strong"])
     add("quartets", _cmd_quartets)
     p = add("reconstruct", _cmd_reconstruct, max_leaves=True)
     p.add_argument("--oracle-from", help="Newick tree whose rank oracle to reconstruct from")
-    add("binary-check", _cmd_binary_check, max_leaves=True)
+    p = add("binary-check", _cmd_binary_check, max_leaves=True)
+    p.set_defaults(predicate="binary")
     p = add("enumerate-trees", _cmd_enumerate_trees, tree=False, max_leaves=True)
     p.add_argument("--leaves", required=True, help="comma-separated leaf labels")
     p.add_argument("--count", action="store_true")
@@ -400,12 +359,9 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
-        return 2 if exc.code not in (0,) else 0
+        return 0 if exc.code == 0 else 2
     try:
         return args.fn(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except NewickError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -126,13 +126,23 @@ def tree_from_oracle(rank_oracle, labels, max_leaves=24):
 
 def matroids_equal(tree1, tree2, max_leaves=6):
     """Whether the two trees' cord matroids are equal: a matroid is fixed by
-    its bases, so compare the two basis sets."""
+    its bases, so compare the two basis sets.  The rank is the edge count,
+    so trees with different counts differ; otherwise tree1's bases stream
+    against tree2's set, stopping at the first one missing from it."""
     if tree1.leaves != tree2.leaves:
         raise ValueError("trees have different leaf sets")
     if tree1.n_leaves > max_leaves:
         raise ScaleBoundError(
             f"{tree1.n_leaves} leaves exceeds the comparison bound of {max_leaves}")
-    return set(matroid.bases(tree1, max_leaves)) == set(matroid.bases(tree2, max_leaves))
+    if len(tree1.edge_ids) != len(tree2.edge_ids):
+        return False
+    bases2 = set(matroid.bases(tree2, max_leaves))
+    count = 0
+    for b in matroid.bases(tree1, max_leaves):
+        if b not in bases2:
+            return False
+        count += 1
+    return count == len(bases2)
 
 
 @dataclass(frozen=True)

@@ -142,4 +142,4 @@ def star_is_circuit(labels, cords):
     """
     cords = frozenset(cords)
     return (star_rank(labels, cords) == len(cords) - 1
-            and all(star_is_independent(labels, cords - {c}) for c in cords))
+            and all(star_is_independent(labels, cords - {c}) for c in sorted(cords)))

@@ -314,3 +314,16 @@ def test_cord_file_exit_codes_are_never_internal_errors(tmp_path_factory, conten
         malformed = True
     code = quiet_exit_code("verdict", "--newick", QUARTET, "--cords", str(path))
     assert code in ((2, 3) if malformed else (0,))
+
+
+def test_star_refuses_a_tree_that_is_not_a_star(tmp_path, capsys):
+    # the star rules would answer for the star on the quartet's leaves:
+    # rank 4 and no basis, where the quartet's own rank is 5, a basis
+    path = write_cords(tmp_path, "a b\nc d\na c\na d\nb c\n")
+    code, out, err = run(capsys, "star", "--newick", QUARTET, "--cords", path)
+    assert code == 2
+    assert out == ""
+    assert "star rules need a star tree" in err
+    code, out, _ = run(capsys, "verdict", "--newick", QUARTET, "--cords", path)
+    assert code == 0
+    assert "rank: 5" in out and "basis: true" in out
