@@ -127,18 +127,14 @@ def _basis_dfs(rows, tail=0):
     the residual of every later candidate over the chosen rows, so storing
     a chosen row costs each candidate one Bareiss step
     (``RowSpace.advance``), not a full ``reduce``, and a candidate whose
-    main part vanishes is dropped.  A node yields a basis iff its chosen
-    rows and candidates together span.  So two prunings skip only subtrees
-    that hold none, and the yield order is that of the plain search: a node
-    stops when fewer candidates are left than the rows it lacks, and once a
-    child yields nothing it skips that child's later siblings, whose rows
-    are a subset of the child's.
+    main part vanishes is dropped.  When one row is lacking and there is no
+    tail, every candidate completes a basis, and each is yielded in one
+    pass without being stored.
 
-    At each basis C the search yields its chosen indices (a list,
-    increasing, valid only until the generator is resumed) and the indices
-    ``i``, increasing, for which C + i spans the full rows and the search
-    meets C + i here first.  These are the candidates dropped on the path
-    to C with a nonzero tail residual:
+    At each basis C the search has the indices ``i``, increasing, for which
+    C + i spans the full rows and the search meets C + i here first.  These
+    are the candidates dropped on the path to C with a nonzero tail
+    residual:
 
     - The search meets bases in lexicographic order of their index lists,
       so of the bases inside B = C + i it meets the lexicographically least
@@ -149,13 +145,41 @@ def _basis_dfs(rows, tail=0):
     - A dropped residual is zero at every main column, so no later pivot
       changes it, and C + i spans the full rows iff its tail is nonzero.
 
-    Without a tail every dropped residual is zero, so that list is empty.
+    Without a tail that list is always empty, and the search yields every
+    basis.  With a tail it yields only the bases whose list is nonempty.
+    Each yield is the chosen indices (a list, increasing, valid only until
+    the generator is resumed) and the list.
+
+    Two prunings skip only subtrees that yield nothing, so the yield order
+    is that of the plain search.  A node stops when fewer candidates are
+    left than the rows it lacks.  And once a child yields nothing, the node
+    skips that child's later siblings.  Without a tail this holds because a
+    later sibling's rows are a subset of the child's.  With a tail, let W
+    be the span of the full rows of the child's chosen rows and candidates,
+    H_C that of a basis C, and m the number of main columns, so that
+    dim H_C = m.  A row dropped on the path to C has a nonzero tail
+    residual iff its full row lies outside H_C.  A node's list likewise
+    holds the rows dropped on the path to it with a nonzero tail residual.
+
+    - If a basis lies below the child, its leftmost descent reaches a basis
+      C0 at which every candidate of the child was chosen or dropped.  So
+      C0's list is empty only if the node's list is empty and W = H_C0,
+      of dimension m.
+    - A later sibling's rows are among the child's, so for every basis C
+      below it H_C lies in W, and as both have dimension m, H_C = W.
+    - Every row dropped on the path from the node to such a C is a
+      candidate of the node after the child's row.  Each of those is a
+      candidate of the child or was dropped entering it with a zero
+      residual, so it lies in W = H_C and its tail residual is zero.  With
+      the node's list empty, C's list is empty too.
+
+    So the first basis below a node decides its whole subtree.
     """
     space = RowSpace(len(rows[0]) - tail, tail=tail)
     # The search walks its tree with an explicit path, so a basis is yielded
     # from this frame, not passed up through one generator per level.  Per
     # ancestor, the path keeps its candidates, the position of the next one
-    # to try, the length of ``joins`` and the count of bases found.
+    # to try, the length of ``joins`` and the count of yields so far.
     chosen, path = [], []
     # Dropped candidates with a nonzero tail on the current path.
     joins = []
@@ -164,17 +188,22 @@ def _basis_dfs(rows, tail=0):
     while True:
         need = space.ncols - len(chosen)
         if not need:
-            found += 1
-            yield chosen, sorted(joins)
+            if joins or not tail:
+                found += 1
+                yield chosen, sorted(joins)
+        elif need == 1 and not tail:
+            for i, _, _ in carried[p:]:
+                chosen.append(i)
+                yield chosen, []
+                chosen.pop()
+            found += len(carried) - p
         elif len(carried) - p >= need:
             i, residual, divisor = carried[p]
             space.add(residual, divisor)
             chosen.append(i)
             path.append((carried, p + 1, len(joins), found))
-            # Without a tail, a last row leaves its child nothing to use.
-            if tail or need > 1:
-                carried, vanished = space.advance(carried[p + 1:])
-                joins += [j for j, res, _ in vanished if res]
+            carried, vanished = space.advance(carried[p + 1:])
+            joins += [j for j, res, _ in vanished if res]
             p = 0
             continue
         if not path:
@@ -253,13 +282,15 @@ def contraction_bases(tree, f, max_leaves=7):
     """Bases of the tree, generated from the bases of the tree with ``f`` collapsed.
 
     The basis search runs on the collapsed tree's rows with their f-tails
-    (see ``contraction_extends``).  At each collapsed basis C it also
-    yields the cords i, increasing, for which C + i is a basis of the tree
-    met there first: i's collapsed row lies in the span of the cords of C
-    before it, so C is the greedy (lexicographically least) collapsed basis
-    inside C + i, and i's residual over C has a nonzero f-tail (proof at
-    ``_basis_dfs``).  Every basis of the tree holds a collapsed basis, so
-    each is yielded exactly once, and together they are ``bases(tree)``.
+    (see ``contraction_extends``).  It yields each collapsed basis C that
+    extends, with the cords i, increasing, for which C + i is a basis of
+    the tree met there first: i's collapsed row lies in the span of the
+    cords of C before it, so C is the greedy (lexicographically least)
+    collapsed basis inside C + i, and i's residual over C has a nonzero
+    f-tail.  It skips every collapsed subtree whose bases extend to nothing
+    (proofs at ``_basis_dfs``).  Every basis of the tree holds a collapsed
+    basis, so each is yielded exactly once, and together they are
+    ``bases(tree)``.
     """
     if not tree.is_interior_edge(f):
         raise ValueError(f"edge {f} is pendant; collapse needs an interior edge")

@@ -313,6 +313,34 @@ def test_contraction_bases_yield_each_basis_once_on_the_seven_leaf_caterpillar()
     assert sorted(smaller) == [2, 2, 3, 3]
 
 
+def test_collapsed_search_yields_exactly_the_bases_that_extend():
+    # The search with an f-tail skips every collapsed subtree that holds no
+    # extension.  Checked against public functions that run none of its
+    # carried residuals: it must yield, in order, the collapsed bases C with a
+    # nonempty list, and that list must be the cords that extend C and lie
+    # in the span of C's cords before them.
+    trees = [*trees_on(5), lm.caterpillar_tree(letters(6))]
+    for t in trees:
+        cords_ = sorted(lm.all_cords(t.leaves))
+        for f in t.interior_edge_ids:
+            collapsed = t.contract({f})
+            packed = {}
+            expected = []
+            for base in matroid.bases(collapsed):
+                joins = []
+                for i, c in enumerate(cords_):
+                    before = {b for b in base if b < c}   # independent
+                    if (c not in base
+                            and matroid.rank_of(collapsed, before | {c}, packed) == len(before)
+                            and matroid.contraction_extends(t, f, base, c)):
+                        joins.append(i)
+                if joins:
+                    expected.append((base, joins))
+            got = [(frozenset(cords_[i] for i in chosen), joins) for chosen, joins
+                   in matroid._basis_dfs(matroid._collapse_rows(t, f, cords_), tail=1)]
+            assert got == expected
+
+
 def test_contraction_bases_rejects_pendant(quartet):
     with pytest.raises(ValueError):
         next(iter(matroid.contraction_bases(quartet, quartet.pendant_edge("a"))))
