@@ -9,21 +9,25 @@ set in one pass; for a t-cover it grows competing shapes leaf by leaf as
 cluster sets, building no tree, pruned by exact linear feasibility.
 The paper's weightings are positive on interior edges and non-negative on
 pendant edges.  The decider asks only whether weightings positive on every
-edge agree, which gives the same verdicts, and its systems hold the two
-pendant weights of a leaf as one free difference, so sign rows and
-Fourier-Motzkin cover the interior edges alone (both proven in
-``_agreement_system``).
+edge agree, which gives the same verdicts.  The pendant weights enter only
+through one free difference per leaf, and the integer combinations of the
+cords whose leaf parts cancel take those differences out: each combination
+leaves one equality over the interior edges of both shapes.  A competing
+shape with an equality of one sign is rejected at once; any other shape's
+system goes to Fourier-Motzkin over the interior edges alone (all three
+facts proven in ``_agreement_system``).
 """
 
 from __future__ import annotations
 
 import itertools
 from collections import Counter
+from math import gcd
 from dataclasses import dataclass
 
 from . import matroid
 from .errors import ScaleBoundError
-from .exact import LinearSystem, feasible
+from .exact import LinearSystem, RowSpace, feasible
 from .stargraph import analyze
 from .tree import _clusters, _hangings, all_cords, cord, cross_cords
 
@@ -118,16 +122,49 @@ def pointed_covers(tree, leaf):
         yield cover
 
 
-def _agreement_system(n, cords, shape, tree):
+def _cancelling_combinations(n, cords):
+    """A basis of the integer combinations of the cords whose leaf parts cancel.
+
+    ``cords`` are pairs of the leaves 0..n-1.  Cord x-y has the leaf part
+    e_x + e_y, the row of the cord-leaf incidence D, and a combination y of
+    the cords cancels when yᵀD = 0.  One pass puts each leaf part into a
+    ``RowSpace`` with a unit tail at its cord, as ``coloops`` does.  A leaf
+    part that reduces to zero leaves in its tail a combination that cancels,
+    nonzero at its own cord and zero at every later one, so the combinations
+    are independent, and there are |cords| - rank D of them: a basis of the
+    left kernel of D.  Each is a list of ``(a, b, y)`` for the cords a-b
+    with a nonzero coefficient y, divided by the common factor of those.
+    """
+    m = len(cords)
+    space = RowSpace(n, tail=m)
+    combinations = []
+    for i, (a, b) in enumerate(cords):
+        row = [0] * (n + m)
+        row[a] = row[b] = row[n + i] = 1
+        residual, divisor = space.reduce(row)
+        if not space.add(residual, divisor):
+            tail = space.unpack(residual)[n:]
+            g = gcd(*tail)
+            combinations.append([(*c, y // g) for c, y in zip(cords, tail) if y])
+    return combinations
+
+
+def _edge_column(combinations, split):
+    """An interior edge's coefficient in each combination: the sum of the
+    coefficients of the cords whose path crosses the edge's ``split`` (a
+    bitmask over the leaves, either side)."""
+    return [sum(y for a, b, y in combo if (split >> a ^ split >> b) & 1)
+            for combo in combinations]
+
+
+def _agreement_system(columns):
     """Feasibility system: positive weightings of two shapes agree on the cords.
 
-    Both shapes are on the leaves 0..n-1, ``cords`` are pairs of leaves, and
-    ``shape`` and ``tree`` list each shape's interior splits as bitmasks
-    over the leaves (either side).  The variables are one free difference
-    d_x per leaf x, in the first columns, then the interior edges of
-    ``shape``, then those of ``tree``.  A cord x-y gives the row
-    d_x + d_y + (shape's interior path) - (tree's interior path) = 0, and
-    only the interior variables get strict sign rows.
+    ``columns`` holds one column per interior edge, a competing shape's
+    edges by ``_edge_column`` and then the tree's edges negated, each over
+    the cords' cancelling combinations (``_cancelling_combinations``).  The
+    system has one equality per combination, the row across the columns,
+    and a strict sign row for every edge.
 
     The paper lets pendant edges weigh 0.  That changes no verdict: positive
     weightings are among the paper's, and adding a constant c > 0 to every
@@ -136,35 +173,46 @@ def _agreement_system(n, cords, shape, tree):
     two pendant edges, every cord's distance grows by 2c in both trees, so
     agreement is kept.
 
-    By the same fact the pendant edge p_x of ``shape`` and q_x of ``tree``
-    enter the cord x-y only through p_x - q_x, so agreeing positive
-    weightings give a solution d_x = p_x - q_x here.  Conversely any real d_x
-    is p_x - q_x for some p_x, q_x > 0 (p_x = |d_x| + 1, q_x = p_x - d_x), so
-    a solution here gives agreeing weightings positive on every edge.  This
-    system is feasible exactly when the one with a variable for every edge
-    of both trees is.
+    By the same fact the pendant edge p_x of the shape and q_x of the tree
+    enter the cord x-y only through d_x = p_x - q_x, and any real d_x is
+    p_x - q_x for some p_x, q_x > 0 (p_x = |d_x| + 1, q_x = p_x - d_x).  So
+    weightings positive on every edge agree exactly when positive interior
+    weights s of the shape and t of the tree leave some real d with
+    D d = -r, where D is the cord-leaf incidence and r holds each cord's
+    interior path sum in the shape minus that in the tree.
 
-    In ``feasible`` no inequality ever mentions a d: ``RowSpace`` pivots on
-    a row's lowest nonzero column, so a stored row whose pivot is an
-    interior variable is zero in every d column, and substituting into the
-    sign rows, which are zero there too, never brings a d in.  So
-    Fourier-Motzkin combines rows over at most 2(n - 3) interior variables
-    for n leaves.
+    Such a d exists exactly when -r lies in the column space of D, the
+    orthogonal complement of its left kernel {y : yᵀD = 0}: exactly when
+    y.r = 0 for each y of a basis of that kernel.  And y.r is the sum over
+    the interior edges of y's coefficient on the edge (``_edge_column``)
+    times its weight, negated for the tree's edges.  So the leaf differences
+    leave the system, each combination is one equality over the interior
+    edges, and Fourier-Motzkin runs over at most 2(n - 3) variables for n
+    leaves.
+
+    A row of this system that is nonzero and has no two entries of opposite
+    sign can never vanish at weights that are all positive, so
+    ``_can_agree`` rejects such a shape without building the system.
     """
-    nvars = n + len(shape) + len(tree)
-    equalities = []
-    for a, b in cords:
-        row = [0] * n
-        row[a] = row[b] = 1
-        row += [(m >> a ^ m >> b) & 1 for m in shape]
-        row += [-((m >> a ^ m >> b) & 1) for m in tree]
-        equalities.append((row, 0))
-    strict = []
-    for col in range(n, nvars):
-        row = [0] * nvars
-        row[col] = 1
-        strict.append((row, 0))
-    return LinearSystem(equalities=equalities, strict_inequalities=strict)
+    nvars = len(columns)
+    strict = [([int(i == j) for i in range(nvars)], 0) for j in range(nvars)]
+    return LinearSystem(equalities=[(row, 0) for row in zip(*columns)],
+                        strict_inequalities=strict)
+
+
+def _can_agree(combinations, tree_columns, shape, max_variables):
+    """Whether positive weightings of a competing shape, given by its interior
+    splits, agree with the tree's on the cords.
+
+    ``tree_columns`` are the tree's interior edges' columns, negated.  A
+    shape one of whose equalities has one sign is refused on the spot (the
+    proof is in ``_agreement_system``); any other goes to ``feasible``.
+    """
+    columns = [_edge_column(combinations, m) for m in shape] + tree_columns
+    for row in zip(*columns):
+        if any(row) and (min(row) >= 0 or max(row) <= 0):
+            return False
+    return feasible(_agreement_system(columns), max_variables=max_variables)
 
 
 def is_topological_lasso(tree, cords, max_leaves=6):
@@ -207,7 +255,9 @@ def is_topological_lasso(tree, cords, max_leaves=6):
     restricting agreeing weightings (summing along condensed chains) keeps
     them positive and agreeing.  The restriction's clusters are the tree's
     clusters cut down to Y, the empty one dropped, so a prefix is that
-    restriction itself exactly when its clusters are those.
+    restriction itself exactly when its clusters are those.  The cords'
+    cancelling combinations and the tree's columns (``_agreement_system``)
+    depend only on Y, so each level computes them once, on its first visit.
     """
     labels = tree.leaves
     cords = frozenset(cords)
@@ -237,19 +287,25 @@ def is_topological_lasso(tree, cords, max_leaves=6):
     def interior(cut, k):   # neither a leaf's nor leaf 0's own edge
         return [c for c in cut if c & (c - 1) and c != (1 << k) - 2]
 
-    levels = {}   # leaf count k -> the tree's clusters on leaves 0..k-1, interior ones, cords
-    for k in range(4, n + 1):
-        cut = dict.fromkeys(c & ((1 << k) - 1) for c in clusters if c & ((1 << k) - 1))
-        levels[k] = (frozenset(cut), interior(cut, k),
-                     [(a, b) for a, b in pairs if a < k and b < k])
+    levels = {}   # leaf count k -> the tree's clusters on leaves 0..k-1, combinations, columns
+
+    def level(k):
+        """Computed once per level: the search reaches it from many prefixes."""
+        if k not in levels:
+            cut = dict.fromkeys(c & ((1 << k) - 1) for c in clusters if c & ((1 << k) - 1))
+            combinations = _cancelling_combinations(
+                k, [(a, b) for a, b in pairs if a < k and b < k])
+            levels[k] = (frozenset(cut), combinations,
+                         [[-y for y in _edge_column(combinations, m)] for m in interior(cut, k)])
+        return levels[k]
 
     def can_agree(prefix, k):
-        restricted, tree_interior, inside = levels[k]
+        restricted, combinations, tree_columns = level(k)
         if restricted == set(prefix):
             return k < n   # the tree itself is no competitor
-        # k differences, and at most max_leaves - 3 interior edges a tree
-        return feasible(_agreement_system(k, inside, interior(prefix, k), tree_interior),
-                        max_variables=3 * max_leaves - 6)
+        # each tree has at most max_leaves - 3 interior edges
+        return _can_agree(combinations, tree_columns, interior(prefix, k),
+                          max_variables=2 * max_leaves - 6)
 
     def competes(prefix, k):
         """Whether some shape grown from this prefix on k leaves competes."""

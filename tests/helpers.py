@@ -31,6 +31,13 @@ def binary_trees_on(n):
     return tuple(sorted(lm.enumerate_binary_xtrees(letters(n)), key=lm.XTree.canonical_form))
 
 
+def interior_splits(t):
+    """Each interior edge's side at its first end, as a bitmask over the
+    sorted leaves."""
+    return [sum(1 << t.leaves.index(x) for x in t.side(eid, min(t.edges[eid])))
+            for eid in t.interior_edge_ids]
+
+
 def snowflake():
     """Three cherries joined at a central vertex: cherries ad, be, cf."""
     return lm.tree_from_newick("((a,d),(b,e),(c,f));")

@@ -300,6 +300,33 @@ def minimal_dependent_sets(vectors, max_size):
                               for i in range(len(subset)))]
 
 
+# -- the topological decider's agreement systems ------------------------------------
+
+
+def leaf_difference_system(n, cords, shape, tree):
+    """Agreement of two shapes' positive weightings on the cords, with one free
+    difference per leaf: ``(equalities, strict)`` as (row, rhs) pairs.
+
+    Both shapes are on the leaves 0..n-1, ``cords`` are pairs of leaves, and
+    ``shape`` and ``tree`` list each shape's interior splits as bitmasks over
+    the leaves (either side).  The variables are one free difference d_x per
+    leaf x, standing for the shape's pendant weight at x minus the tree's,
+    then the interior edges of ``shape``, then those of ``tree``.  A cord x-y
+    gives the row d_x + d_y + (shape's interior path) - (tree's interior
+    path) = 0, and only the interior variables get strict sign rows.
+    """
+    nvars = n + len(shape) + len(tree)
+    equalities = []
+    for a, b in cords:
+        row = [0] * n
+        row[a] = row[b] = 1
+        row += [(m >> a ^ m >> b) & 1 for m in shape]
+        row += [-((m >> a ^ m >> b) & 1) for m in tree]
+        equalities.append((row, 0))
+    strict = [([int(i == col) for i in range(nvars)], 0) for col in range(n, nvars)]
+    return equalities, strict
+
+
 # -- distances on raw trees ---------------------------------------------------------
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracles
+from helpers import interior_splits
 from lassomatroid import LinearSystem, ScaleBoundError, feasible, kernel_basis, rank, solve_coordinates
 from lassomatroid.exact import RowSpace
 
@@ -197,6 +198,14 @@ def test_feasible_unbounded_direction():
     assert feasible(LinearSystem(strict_inequalities=[([1, 0], 5)]))
 
 
+def test_linear_system_refuses_rows_of_different_widths():
+    with pytest.raises(ValueError, match="constraints disagree on variable count"):
+        LinearSystem(equalities=[([1, 1], 0)], strict_inequalities=[([1], 0)])
+    with pytest.raises(ValueError, match="constraints disagree on variable count"):
+        LinearSystem(strict_inequalities=[([1, 0], 0)], weak_inequalities=[([1, 0, 0], 0)])
+    assert LinearSystem(equalities=[([1, 1], 0)], weak_inequalities=[([0, 1], 0)]).nvars == 2
+
+
 def test_feasible_variable_bound():
     wide = LinearSystem(weak_inequalities=[([0] * 25, 0)])
     with pytest.raises(ScaleBoundError):
@@ -252,14 +261,9 @@ def test_feasible_agrees_with_vertex_oracle_on_four_leaf_agreement_systems():
     # variable for every edge of both trees and all of them strict; it is a
     # cone, so it is feasible exactly when it is with sum(w) == 1, which
     # bounds it: the oracle needs no box.  ``feasible`` decides the decider's
-    # system, in which each leaf's two pendant edges are one free difference.
+    # system, over the interior edges alone.
     import lassomatroid as lm
     from lassomatroid import lasso
-
-    def splits(t):
-        """Each interior edge's side at its first end, a bitmask over a, b, c, d."""
-        return [sum(1 << "abcd".index(x) for x in t.side(eid, min(t.edges[eid])))
-                for eid in t.interior_edge_ids]
 
     shapes = list(lm.enumerate_xtrees("abcd"))
     cord_sets = [lm.all_cords("abcd"), lm.cross_cords("ac", "bd")]
@@ -276,7 +280,11 @@ def test_feasible_agrees_with_vertex_oracle_on_four_leaf_agreement_systems():
                 want = oracles.vertex_feasible(
                     equalities + [([1] * nvars, 1)], [(row, 0) for row in units], [], box=None)
                 pairs = [("abcd".index(x), "abcd".index(y)) for x, y in sorted(cords)]
-                got = feasible(lasso._agreement_system(4, pairs, splits(shape), splits(tree)))
+                combinations = lasso._cancelling_combinations(4, pairs)
+                columns = [lasso._edge_column(combinations, m) for m in interior_splits(shape)]
+                columns += [[-y for y in lasso._edge_column(combinations, m)]
+                            for m in interior_splits(tree)]
+                got = feasible(lasso._agreement_system(columns))
                 assert got == want, (shape.to_newick(), tree.to_newick(), cords)
                 verdicts.add(got)
     assert verdicts == {True, False}

@@ -7,7 +7,8 @@ import pytest
 import lassomatroid as lm
 from lassomatroid import lasso, matroid
 from lassomatroid.stargraph import analyze
-from helpers import cords, double_star, letters, trees_on, binary_trees_on
+import oracles
+from helpers import cords, double_star, interior_splits, letters, trees_on, binary_trees_on
 
 
 def proper_cherry_caterpillar():
@@ -158,9 +159,8 @@ def exhaustive_topological(tree, cords):
 
 def test_pruned_decider_matches_exhaustive_shape_search(monkeypatch):
     # the reference has a variable for every edge and allows zero pendant
-    # weights; the decider takes each leaf's two pendant weights as one free
-    # difference, and the proof that this keeps the verdicts is in
-    # lasso._agreement_system
+    # weights; the decider's systems hold the interior edges alone, and the
+    # proof that this keeps the verdicts is in lasso._agreement_system
     monkeypatch.setattr(lasso, "_topological_memo", {})
     cases = []
     every = sorted(lm.all_cords(letters(4)))
@@ -285,8 +285,8 @@ def test_seven_leaf_caterpillar_cover_is_decided():
 
 
 def test_topological_variable_cap_follows_the_leaf_bound(monkeypatch):
-    # 8 leaves give agreement systems of up to 8 + 5 + 5 = 18 variables, the
-    # cap 3 * 8 - 6; the leaf bound admits them, and the widest reach it
+    # 8 leaves give agreement systems of up to 5 + 5 = 10 interior variables,
+    # the cap 2 * 8 - 6; the leaf bound admits them, and the widest reach it
     monkeypatch.setattr(lasso, "_topological_memo", {})
     seen = []
 
@@ -300,8 +300,80 @@ def test_topological_variable_cap_follows_the_leaf_bound(monkeypatch):
         two = lm.cross_cords(side_a, side_b)
         assert lm.is_topological_lasso(t, two, max_leaves=8) \
             == lasso.split_check(t, set(side_a), set(side_b))
-    assert {cap for _, cap in seen} == {18}
-    assert max(nvars for nvars, _ in seen) == 18
+    assert {cap for _, cap in seen} == {10}
+    assert max(nvars for nvars, _ in seen) == 10
+
+
+def cord_pairs(sub):
+    """Cords of letters as pairs of leaf indices."""
+    return [(ord(x) - ord("a"), ord(y) - ord("a")) for x, y in sorted(sub)]
+
+
+def test_cancelling_combinations_are_a_basis_of_the_left_kernel():
+    # every cord set on 4 and 5 leaves and a seeded sample on 6: the
+    # combinations cancel every leaf part, are independent, and number
+    # |cords| - rank D for the cord-leaf incidence D
+    sets = [(n, sub) for n in (4, 5) for every in [sorted(lm.all_cords(letters(n)))]
+            for r in range(len(every) + 1) for sub in itertools.combinations(every, r)]
+    rng = random.Random(26)
+    every = sorted(lm.all_cords(letters(6)))
+    sets += [(6, [c for c in every if rng.random() < 0.7]) for _ in range(200)]
+    sizes = set()
+    for n, sub in sets:
+        pairs = cord_pairs(sub)
+        incidence = [[int(x in pair) for x in range(n)] for pair in pairs]
+        found = lasso._cancelling_combinations(n, pairs)
+        vectors = []
+        for combo in found:
+            coefficient = {(a, b): y for a, b, y in combo}
+            y = [coefficient.get(pair, 0) for pair in pairs]
+            assert [sum(c * row[x] for c, row in zip(y, incidence)) for x in range(n)] \
+                == [0] * n, (n, pairs, combo)
+            vectors.append(y)
+        assert len(found) == len(pairs) - oracles.gauss_jordan_rank(incidence)
+        assert oracles.gauss_jordan_rank(vectors) == len(found)
+        sizes.add(len(found))
+    assert sizes >= set(range(10 - 5 + 1))
+
+
+def test_prefix_decision_matches_the_leaf_difference_system(monkeypatch):
+    # every ordered pair of distinct 4-leaf shapes under all 64 cord sets,
+    # and seeded 5-leaf pairs: the sign rule, then feasibility over the
+    # interior edges, decides as the system with a free difference per leaf
+    calls = []
+    monkeypatch.setattr(lasso, "feasible",
+                        lambda system, **k: calls.append(1) or lm.feasible(system, **k))
+    cases = []
+    for n in (4, 5):
+        every = sorted(lm.all_cords(letters(n)))
+        pairs_of_shapes = [(s, t) for s in trees_on(n) for t in trees_on(n) if s is not t]
+        if n == 4:
+            cases += [(n, s, t, sub) for s, t in pairs_of_shapes
+                      for r in range(len(every) + 1) for sub in itertools.combinations(every, r)]
+        else:
+            rng = random.Random(2026)
+            for _ in range(600):
+                s, t = rng.choice(pairs_of_shapes)
+                p = rng.choice((0.5, 0.7, 0.9))
+                cases.append((n, s, t, [c for c in every if rng.random() < p]))
+    verdicts = set()
+    sign_decided = 0
+    for n, shape, tree, sub in cases:
+        pairs = cord_pairs(sub)
+        combinations = lasso._cancelling_combinations(n, pairs)
+        tree_columns = [[-y for y in lasso._edge_column(combinations, m)]
+                        for m in interior_splits(tree)]
+        before = len(calls)
+        got = lasso._can_agree(combinations, tree_columns, interior_splits(shape),
+                               max_variables=2 * n - 6)
+        sign_decided += len(calls) == before
+        want = lm.feasible(lm.LinearSystem(*oracles.leaf_difference_system(
+            n, pairs, interior_splits(shape), interior_splits(tree))), max_variables=3 * n - 6)
+        assert got == want, (shape.to_newick(), tree.to_newick(), pairs)
+        verdicts.add((n, got))
+    assert len(cases) == 12 * 64 + 600
+    assert verdicts == {(4, False), (4, True), (5, False), (5, True)}
+    assert 0 < sign_decided < len(cases)
 
 
 # -- aggregate reports ---------------------------------------------------------------

@@ -90,9 +90,14 @@ def test_circuits_star4(star4):
     assert len(found) == 3
 
 
-def test_circuits_max_size_guard(quartet):
-    with pytest.raises(ValueError):
-        list(matroid.circuits(quartet, max_size=len(quartet.edge_ids) + 2))
+def test_circuits_max_size_guard(quartet, cat5):
+    # a circuit has at most one cord more than the rank, the edge count;
+    # the refusal names that size, and the largest size allowed is accepted
+    for t, largest in ((quartet, 6), (cat5, 8)):
+        assert len(t.edge_ids) + 1 == largest
+        with pytest.raises(ValueError, match=f"^circuits never exceed {largest} cords on this tree$"):
+            list(matroid.circuits(t, max_size=largest + 1))
+        assert list(matroid.circuits(t, max_size=largest)) == list(matroid.circuits(t))
 
 
 def test_circuits_scale_bound_is_checked_before_max_size():
