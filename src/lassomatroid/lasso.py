@@ -22,8 +22,8 @@ from __future__ import annotations
 
 import itertools
 from collections import Counter
-from math import gcd
 from dataclasses import dataclass
+from math import gcd
 
 from . import matroid
 from .errors import ScaleBoundError
