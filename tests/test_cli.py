@@ -1,9 +1,13 @@
 import contextlib
+import hashlib
 import io
 import itertools
 import json
 import os
+import sys
+from unittest import mock
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from lassomatroid import cli
@@ -327,3 +331,74 @@ def test_star_refuses_a_tree_that_is_not_a_star(tmp_path, capsys):
     code, out, _ = run(capsys, "verdict", "--newick", QUARTET, "--cords", path)
     assert code == 0
     assert "rank: 5" in out and "basis: true" in out
+
+
+SUBCOMMANDS = ("rank", "verdict", "closure", "coloops", "bases", "circuits", "star",
+               "contract-bases", "pointed-covers", "lasso", "quartets", "reconstruct",
+               "binary-check", "enumerate-trees")
+
+# Runs that end in argparse's own text: help, usage lines and usage errors.
+WHOLE_OUTPUT_CASES = [
+    [], ["--help"], ["-h"], ["no-such-command"], ["--bogus"],
+    *([cmd, "--help"] for cmd in SUBCOMMANDS),
+    ["rank", "--bogus"],
+    ["rank", "--newick", QUARTET, "--bogus"],
+    ["rank", "--newick", QUARTET, "--cords", "-", "--json", "extra"],
+    ["rank", "--newick", QUARTET, "--cords", "-", "--max-leaves", "3"],
+    ["verdict", "--newick", QUARTET, "--cords", "-", "--predicate", "rank"],
+    ["lasso", "--newick", QUARTET, "--cords", "-", "--predicate"],
+    ["contract-bases", "--newick", QUARTET],
+    ["pointed-covers", "--newick", QUARTET],
+    ["enumerate-trees"],
+    ["bases", "--newick", QUARTET, "--max-leaves", "seven"],
+    ["rank", "--newick", QUARTET, "--cor", "-"],
+    ["closure", "--newick", QUARTET, "--cor", "-", "--js"],
+]
+
+# sha256 of every case's argv, exit code, stdout and whole stderr, per
+# CPython minor version: argparse words its help and errors differently
+# from one version to the next.  Computed with CPython 3.10.13, 3.11.7,
+# 3.12.1 and 3.13.0, the versions the CI matrix runs, by calling
+# ``whole_output_digest()`` under each.
+WHOLE_OUTPUT_DIGESTS = {
+    (3, 10): "ba99ab3f779af894723f2f2be04867ba78dbabe3710b9dacb8a9b3546b537b41",
+    (3, 11): "ba99ab3f779af894723f2f2be04867ba78dbabe3710b9dacb8a9b3546b537b41",
+    (3, 12): "ba99ab3f779af894723f2f2be04867ba78dbabe3710b9dacb8a9b3546b537b41",
+    (3, 13): "dc5ea2f9c230d3bc53ae637aa54681dc40ec31a8144e4735c6910125d754420d",
+}
+
+
+def transcript(argv):
+    """(exit code, stdout, whole stderr) of one in-process run, on an
+    80-column terminal, with no bound in the environment and two cords on
+    stdin."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.dict(os.environ, {"COLUMNS": "80"}), \
+            mock.patch.object(sys, "stdin", io.StringIO("a b\nc d\n")), \
+            contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        os.environ.pop(cli.ENV_MAX_LEAVES, None)
+        code = cli.main(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+def whole_output_digest():
+    h = hashlib.sha256()
+    for argv in WHOLE_OUTPUT_CASES:
+        h.update(repr((argv, *transcript(argv))).encode() + b"\n")
+    return h.hexdigest()
+
+
+def test_whole_output_matches_its_digest():
+    want = WHOLE_OUTPUT_DIGESTS.get(sys.version_info[:2])
+    if want is None:
+        pytest.skip(f"no digest for Python {sys.version_info[0]}.{sys.version_info[1]}")
+    assert whole_output_digest() == want
+
+
+def test_unrecognized_arguments_show_every_subcommand():
+    # the top-level usage line reports an unknown argument after a subcommand
+    for argv in (["rank", "--bogus"], ["rank", "--newick", QUARTET, "--json", "extra"]):
+        code, out, err = transcript(argv)
+        assert (code, out) == (2, "")
+        assert "{" + ",".join(SUBCOMMANDS) + "}" in err
+        assert err.endswith(f"error: unrecognized arguments: {argv[-1]}\n")
