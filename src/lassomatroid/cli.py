@@ -6,6 +6,12 @@ blank lines ignored), and all emit either line-oriented text or, with
 --json, one JSON object per result line.  Output ordering is deterministic:
 cords sort lexicographically and trees print in canonical Newick.
 
+A run builds only the parser of the subcommand its first argument names.
+With no argument, -h or an unknown name it builds the full parser, and
+arguments that one subcommand's parser leaves over are parsed again by the
+full parser, so their error shows the usage line that names every
+subcommand.
+
 Bounded subcommands pass --max-leaves, else $LASSO_MATROID_MAX_LEAVES, to
 the library; with neither, the library's own default bound applies.
 
@@ -302,7 +308,13 @@ def _cmd_enumerate_trees(args):
 # -- wiring ---------------------------------------------------------------------
 
 
-def build_parser():
+def build_parser(command=None):
+    """The argument parser; with a subcommand name, only that subcommand's.
+
+    The top-level parser is the same either way, but it holds just the one
+    subparser, so its usage line names only that subcommand.  An unknown
+    name builds the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="lasso-matroid",
         description="Matroid of leaf-pair path vectors on a tree: ranks, lassos, "
@@ -310,6 +322,8 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add(name, fn, tree=True, cords=False, max_leaves=False, predicate=None):
+        if command not in (None, name):
+            return None
         p = sub.add_parser(name)
         if tree:
             p.add_argument("--tree", help="file containing a Newick tree")
@@ -330,33 +344,39 @@ def build_parser():
     add("verdict", _cmd_verdict, cords=True, predicate=["independent", "lasso", "basis"])
     add("closure", _cmd_closure, cords=True)
     add("coloops", _cmd_coloops)
-    p = add("bases", _cmd_bases, max_leaves=True)
-    p.add_argument("--count", action="store_true", help="print only the number of bases")
-    p = add("circuits", _cmd_circuits, max_leaves=True)
-    p.add_argument("--max-size", type=int, default=None)
+    if p := add("bases", _cmd_bases, max_leaves=True):
+        p.add_argument("--count", action="store_true", help="print only the number of bases")
+    if p := add("circuits", _cmd_circuits, max_leaves=True):
+        p.add_argument("--max-size", type=int, default=None)
     add("star", _cmd_star, cords=True, predicate=["lasso", "independent", "basis", "circuit"])
-    p = add("contract-bases", _cmd_contract_bases, max_leaves=True)
-    p.add_argument("--split", required=True,
-                   help="interior edge named by its leaf split, e.g. 'a,b|c,d'")
-    p = add("pointed-covers", _cmd_pointed_covers)
-    p.add_argument("--leaf", required=True, help="anchor leaf")
+    if p := add("contract-bases", _cmd_contract_bases, max_leaves=True):
+        p.add_argument("--split", required=True,
+                       help="interior edge named by its leaf split, e.g. 'a,b|c,d'")
+    if p := add("pointed-covers", _cmd_pointed_covers):
+        p.add_argument("--leaf", required=True, help="anchor leaf")
     add("lasso", _cmd_lasso, cords=True, max_leaves=True,
         predicate=["edge-weight", "topological", "strong"])
     add("quartets", _cmd_quartets)
-    p = add("reconstruct", _cmd_reconstruct, max_leaves=True)
-    p.add_argument("--oracle-from", help="Newick tree whose rank oracle to reconstruct from")
-    p = add("binary-check", _cmd_binary_check, max_leaves=True)
-    p.set_defaults(predicate="binary")
-    p = add("enumerate-trees", _cmd_enumerate_trees, tree=False, max_leaves=True)
-    p.add_argument("--leaves", required=True, help="comma-separated leaf labels")
-    p.add_argument("--count", action="store_true")
+    if p := add("reconstruct", _cmd_reconstruct, max_leaves=True):
+        p.add_argument("--oracle-from", help="Newick tree whose rank oracle to reconstruct from")
+    if p := add("binary-check", _cmd_binary_check, max_leaves=True):
+        p.set_defaults(predicate="binary")
+    if p := add("enumerate-trees", _cmd_enumerate_trees, tree=False, max_leaves=True):
+        p.add_argument("--leaves", required=True, help="comma-separated leaf labels")
+        p.add_argument("--count", action="store_true")
+    if not sub.choices:
+        return build_parser()
     return parser
 
 
 def main(argv=None):
-    parser = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
     try:
-        args = parser.parse_args(argv)
+        args, extra = build_parser(argv[0] if argv else None).parse_known_args(argv)
+        if extra:
+            # the full parser reports them, under a usage line naming every subcommand
+            build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors already; normalize other codes
         return 0 if exc.code == 0 else 2

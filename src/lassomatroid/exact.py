@@ -141,6 +141,18 @@ class RowSpace:
             raise ValueError(f"row entry beyond this space's bound of {self.bound}")
         return self._pack(row)
 
+    def pack_bits(self, bits):
+        """The packed row whose entry at column ``j`` is bit ``j`` of ``bits``.
+
+        In hexadecimal, a packed row of entries 0 and 1 is its entries from
+        the highest column down, each padded to W/4 digits; so the binary
+        digits of ``bits``, joined by W/4 - 1 zeros, read as hex are the row.
+        Bits beyond the row's width are refused with ValueError.
+        """
+        if bits < 0 or bits >> self.width:
+            raise ValueError(f"bits beyond this space's {self.width} columns")
+        return int(("0" * (self._w // 4 - 1)).join(format(bits, "b")), 16)
+
     def _pack(self, row):
         """``pack`` for a row already known to lie within the bound.
 

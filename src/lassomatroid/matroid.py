@@ -17,29 +17,45 @@ from .exact import RowSpace
 from .tree import all_cords
 
 
+class _LeafRows(dict):
+    """Leaf label -> the leaf's 0/1 row over the edge columns, 1 where the
+    leaf lies below the column's split, packed with a zero tail in the
+    space given, on first use.  A cord's path vector is 1 where exactly one
+    of its leaves lies below, so its packed row is the XOR of its two
+    leaves' rows.  An unknown label is refused with ValueError."""
+
+    __slots__ = ("tree", "space")
+
+    def __init__(self, tree, space):
+        super().__init__()
+        self.tree, self.space = tree, space
+
+    def __missing__(self, label):
+        bits = self.tree.leaf_columns[self.tree.leaf_vertex(label)]
+        row = self[label] = self.space.pack_bits(bits)
+        return row
+
+
 def rank_of(tree, cords, packed=None):
     """Rank of the stacked path vectors of the given cords.
 
-    ``packed``, when given, is a dict that keeps each cord's packed path
-    vector between calls on the same tree, so that no row is packed twice.
+    ``packed``, when given, keeps each leaf's packed row between calls on
+    the same tree (``rank_oracle`` passes one), so no row is packed twice.
     """
-    if packed is None:
-        packed = {}
     space = RowSpace(len(tree.edge_ids))
-    for c in sorted(cords):
-        row = packed.get(c)
-        if row is None:
-            row = packed[c] = space.pack(tree.path_vector(c))
-        space.add(row)
+    if packed is None:
+        packed = _LeafRows(tree, space)
+    for a, b in cords:
+        space.add(packed[a] ^ packed[b])
     return space.rank
 
 
 def rank_oracle(tree):
     """The rank function of the tree's cord matroid, as a plain callable.
 
-    The callable packs each cord's path vector once, for all its queries.
+    The callable packs each leaf's row once, for all its queries.
     """
-    packed = {}
+    packed = _LeafRows(tree, RowSpace(len(tree.edge_ids)))
     return lambda cords: rank_of(tree, cords, packed)
 
 
@@ -66,12 +82,21 @@ def verdict(tree, cords):
 
 
 def closure(tree, cords):
-    """All cords whose path vector lies in the span of the given ones."""
+    """All cords whose path vector lies in the span of the given ones.
+
+    The given cords lie in it, and when they span the edge space every cord
+    does, so only the others are reduced, and only short of full rank.
+    """
+    cords = frozenset(cords)
     space = RowSpace(len(tree.edge_ids))
-    for c in sorted(cords):
-        space.add(tree.path_vector(c))
-    return frozenset(c for c in all_cords(tree.leaves)
-                     if space.contains(tree.path_vector(c)))
+    rows = _LeafRows(tree, space)
+    for a, b in cords:
+        space.add(rows[a] ^ rows[b])
+    everything = all_cords(tree.leaves)
+    if space.rank == space.ncols:
+        return everything
+    return frozenset(c for c in everything
+                     if c in cords or space.contains(rows[c[0]] ^ rows[c[1]]))
 
 
 def circuits(tree, max_size=None, max_leaves=7):
@@ -96,10 +121,9 @@ def circuits(tree, max_size=None, max_leaves=7):
         return
     cords = sorted(all_cords(tree.leaves))
     space = RowSpace(ncols, tail=max_size)
-    zeros = (0,) * max_size
-    rows = [space.pack((*tree.path_vector(c), *zeros)) for c in cords]
-    units = [space.pack((0,) * (ncols + depth) + (1,) + zeros[depth + 1:])
-             for depth in range(max_size)]
+    leaf = _LeafRows(tree, space)
+    rows = [leaf[a] ^ leaf[b] for a, b in cords]
+    units = [space.pack_bits(1 << ncols + depth) for depth in range(max_size)]
     found = []
 
     def walk(start, chosen):
@@ -237,10 +261,13 @@ def coloops(tree):
     """
     m = len(tree.edge_ids)
     space = RowSpace(m, tail=m)
+    rows = _LeafRows(tree, space)
+    # once the basis is full, every later cord goes in with a zero tail
+    units = [space.pack_bits(1 << m + k) for k in range(m)] + [0]
     basis, used = [], set()
     for c in sorted(all_cords(tree.leaves)):
         k = len(basis)
-        residual, divisor = space.reduce([*tree.path_vector(c), *(int(i == k) for i in range(m))])
+        residual, divisor = space.reduce(rows[c[0]] ^ rows[c[1]] | units[k])
         if space.add(residual, divisor):
             basis.append(c)
         else:

@@ -73,7 +73,7 @@ class XTree:
     """
 
     __slots__ = ("_leaves", "_leaf_vertex", "_adjacency", "_edge_ids", "_edge_column",
-                 "_walk", "_upper", "_lower", "_below", "_canonical", "_vectors")
+                 "_walk", "_upper", "_lower", "_below", "_canonical", "_vectors", "_columns")
 
     def __init__(self, labels, splits):
         labels = tuple(labels)
@@ -129,6 +129,7 @@ class XTree:
         self._upper, self._lower, self._below = tuple(upper), tuple(lower), tuple(below)
         self._canonical = None
         self._vectors = {}
+        self._columns = None
 
     # -- basic structure ---------------------------------------------------
 
@@ -223,6 +224,19 @@ class XTree:
             vec = tuple((mask >> a ^ mask >> b) & 1 for mask in self._below)
             self._vectors[c] = vec
         return vec
+
+    @property
+    def leaf_columns(self):
+        """Per leaf, in label order, the int whose bit j is 1 iff the leaf
+        lies below the split of edge column j: the columns on its path up to
+        the root.  A cord's path vector is 1 where exactly one of its leaves
+        lies below, so its bits are the XOR of its two leaves' ints."""
+        if self._columns is None:
+            above = {len(self._leaves): 0}   # vertex -> columns on its path to the root
+            for col in self._walk:   # each edge after the edge above it
+                above[self._lower[col]] = above[self._upper[col]] | 1 << col
+            self._columns = tuple(above[i] for i in range(len(self._leaves)))
+        return self._columns
 
     def distance(self, weighting, c):
         """Path sum of edge weights between the two leaves of the cord."""

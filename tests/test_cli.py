@@ -402,3 +402,24 @@ def test_unrecognized_arguments_show_every_subcommand():
         assert (code, out) == (2, "")
         assert "{" + ",".join(SUBCOMMANDS) + "}" in err
         assert err.endswith(f"error: unrecognized arguments: {argv[-1]}\n")
+
+
+def test_main_reads_sys_argv_when_given_none(monkeypatch, capsys):
+    # argv=None reads sys.argv[1:]: its subcommand picks the one parser built,
+    # and --help, no subcommand's name, falls back to the full parser
+    built = []
+    build = cli.build_parser
+    monkeypatch.setattr(cli, "build_parser", lambda command=None: built.append(command) or
+                        build(command))
+    monkeypatch.setattr(sys, "stdin", io.StringIO("a b\nc d\n"))
+    monkeypatch.setattr(sys, "argv", ["lasso-matroid", "rank", "--newick", QUARTET,
+                                      "--cords", "-"])
+    assert cli.main() == 0
+    assert capsys.readouterr() == ("rank: 2\n", "")
+    assert built == ["rank"]
+    monkeypatch.setattr(sys, "argv", ["lasso-matroid", "--help"])
+    assert cli.main() == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage: lasso-matroid [-h]") and err == ""
+    assert "{" + ",".join(SUBCOMMANDS) + "}" in out
+    assert built == ["rank", "--help", None]

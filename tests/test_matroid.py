@@ -6,6 +6,7 @@ import pytest
 import oracles
 import lassomatroid as lm
 from lassomatroid import matroid
+from lassomatroid.exact import RowSpace
 from helpers import cords, letters, trees_on
 from lassomatroid.tree import hang_leaf
 
@@ -329,14 +330,14 @@ def test_collapsed_search_yields_exactly_the_bases_that_extend():
         cords_ = sorted(lm.all_cords(t.leaves))
         for f in t.interior_edge_ids:
             collapsed = t.contract({f})
-            packed = {}
+            rank = matroid.rank_oracle(collapsed)
             expected = []
             for base in matroid.bases(collapsed):
                 joins = []
                 for i, c in enumerate(cords_):
                     before = {b for b in base if b < c}   # independent
                     if (c not in base
-                            and matroid.rank_of(collapsed, before | {c}, packed) == len(before)
+                            and rank(before | {c}) == len(before)
                             and matroid.contraction_extends(t, f, base, c)):
                         joins.append(i)
                 if joins:
@@ -391,3 +392,93 @@ def test_restriction_circuits_stay_circuits():
             sub, _ = t.restrict(set(four))
             for circ in matroid.circuits(sub):
                 assert circ in whole
+
+
+def seeded_trees(seed, count):
+    """Trees on 8 to 24 leaves, each grown leaf by leaf at seeded places
+    (on edges and on interior vertices, so not all binary)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        labels = [f"x{i:02d}" for i in range(rng.randint(8, 24))]
+        t = lm.star_tree(labels[:3])
+        for x in labels[3:]:
+            t = rng.choice(list(hang_leaf(t, x)))
+        yield t
+
+
+def test_leaf_rows_xor_to_packed_path_vectors():
+    # A cord's packed row is the XOR of its two leaves' rows, in a space
+    # without a tail and in spaces with one (the widest, with as many tail
+    # columns as edges, has fields beyond 64 bits at 24 leaves); a unit tail
+    # ORs in as the packed unit.
+    trees = [t for n in (3, 4, 5, 6) for t in trees_on(n)]
+    trees += seeded_trees(27, 12)
+    for t in trees:
+        m = len(t.edge_ids)
+        for tail in sorted({0, 1, m}):
+            space = RowSpace(m, tail=tail)
+            rows = matroid._LeafRows(t, space)
+            for k, (a, b) in enumerate(sorted(lm.all_cords(t.leaves))):
+                vector = t.path_vector((a, b))
+                assert rows[a] ^ rows[b] == space.pack((*vector, *[0] * tail))
+                if tail:
+                    unit = [int(i == k % tail) for i in range(tail)]
+                    assert (rows[a] ^ rows[b] | space.pack_bits(1 << m + k % tail)
+                            == space.pack((*vector, *unit)))
+    with pytest.raises(ValueError, match="unknown leaf label 'z'"):
+        matroid.rank_of(trees[0], [("a", "z")])
+
+
+def test_pack_bits_refuses_bits_beyond_the_row():
+    space = RowSpace(3, tail=1)
+    assert space.pack_bits(0b1011) == space.pack((1, 1, 0, 1))
+    for bits in (1 << 4, -1):
+        with pytest.raises(ValueError, match="beyond this space's 4 columns"):
+            space.pack_bits(bits)
+
+
+def _closure_by_oracle(t, chosen):
+    """{c : rank(S + c) = rank(S)}, ranks by Gauss-Jordan elimination.  At
+    rank |E| that is every cord, as no rank exceeds |E|."""
+    rows = [t.path_vector(c) for c in chosen]
+    r = oracles.gauss_jordan_rank(rows)
+    everything = lm.all_cords(t.leaves)
+    if r == len(t.edge_ids):
+        return everything
+    return frozenset(c for c in everything
+                     if oracles.gauss_jordan_rank([*rows, t.path_vector(c)]) == r)
+
+
+def test_closure_matches_rank_oracle_on_every_small_cord_set():
+    # Every cord subset of every shape on up to 5 leaves; a subset's oracle
+    # rank is computed once and read for each one-cord extension.
+    for t in [t for n in (3, 4, 5) for t in trees_on(n)]:
+        pool = sorted(lm.all_cords(t.leaves))
+        vectors = [t.path_vector(c) for c in pool]
+        ranks = [oracles.gauss_jordan_rank([v for i, v in enumerate(vectors) if s >> i & 1])
+                 for s in range(1 << len(pool))]
+        for s, r in enumerate(ranks):
+            want = frozenset(c for i, c in enumerate(pool) if ranks[s | 1 << i] == r)
+            assert matroid.closure(t, [c for i, c in enumerate(pool) if s >> i & 1]) == want
+
+
+def test_closure_matches_rank_oracle_at_scale():
+    # Seeded sets on 8 to 24 leaves.  The oracle reduces every cord against
+    # a set short of full rank, so above 12 leaves those sets stay small.
+    # A greedy basis in seeded order plus five more cords spans, as does
+    # every cord up to 12 leaves; both take the full-rank shortcut.
+    rng = random.Random(28)
+    spanning = 0
+    for t in seeded_trees(29, 8):
+        pool = sorted(lm.all_cords(t.leaves))
+        m = len(t.edge_ids)
+        small = t.n_leaves <= 12
+        sets = [rng.sample(pool, k) for k in ((3, m // 2, m - 1, 2 * m) if small else (3, 6))]
+        space = RowSpace(m)
+        basis = [c for c in rng.sample(pool, len(pool)) if space.add(t.path_vector(c))]
+        sets += [[*basis, *rng.sample(pool, 5)]] + [pool] * small
+        for chosen in sets:
+            want = _closure_by_oracle(t, chosen)
+            assert matroid.closure(t, chosen) == want
+            spanning += want == frozenset(pool)
+    assert spanning >= 11
