@@ -18,8 +18,7 @@ from .lasso import (BipartiteReport, LassoReport, TopologicalRankReport,
                     pointed_covers, split_check, topological_rank_structure)
 from .matroid import (MatroidVerdict, bases, circuits, closure, coloops,
                       contract_rank_decomposition, contraction_bases,
-                      contraction_extends, rank_of, rank_oracle,
-                      restriction_rank, verdict)
+                      contraction_extends, rank_of, rank_oracle, verdict)
 from .reconstruct import (BinaryMatroidVerdict, NonbinaryWitness, QuartetSet,
                           is_binary_matroid, matroids_equal, near_caterpillar_shape,
                           nonbinary_witness, quartet_set_from_oracle,

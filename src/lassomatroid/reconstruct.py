@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from . import matroid
 from .errors import ScaleBoundError
-from .tree import XTree, cord, quartet_topology
+from .tree import XTree, are_equivalent, cord, quartet_topology
 
 
 def _cycle_with_diagonals(pair1, pair2):
@@ -124,25 +124,17 @@ def tree_from_oracle(rank_oracle, labels, max_leaves=24):
     return tree
 
 
-def matroids_equal(tree1, tree2, max_leaves=6):
-    """Whether the two trees' cord matroids are equal: a matroid is fixed by
-    its bases, so compare the two basis sets.  The rank is the edge count,
-    so trees with different counts differ; otherwise tree1's bases stream
-    against tree2's set, stopping at the first one missing from it."""
-    if tree1.leaves != tree2.leaves:
-        raise ValueError("trees have different leaf sets")
-    if tree1.n_leaves > max_leaves:
-        raise ScaleBoundError(
-            f"{tree1.n_leaves} leaves exceeds the comparison bound of {max_leaves}")
-    if len(tree1.edge_ids) != len(tree2.edge_ids):
-        return False
-    bases2 = set(matroid.bases(tree2, max_leaves))
-    count = 0
-    for b in matroid.bases(tree1, max_leaves):
-        if b not in bases2:
-            return False
-        count += 1
-    return count == len(bases2)
+def matroids_equal(tree1, tree2):
+    """Whether the two trees' cord matroids are equal, at any size.
+
+    The rank oracle fixes the displayed quartets (``quartet_set_from_oracle``)
+    and the quartets fix the tree up to equivalence (``tree_from_oracle``).
+    So equal matroids, which have equal rank functions, give equivalent
+    trees, and equivalent trees have equal path vectors on every cord, so
+    equal matroids: the matroids are equal exactly when the trees are
+    equivalent.  Trees on different leaf sets are refused with ValueError.
+    """
+    return are_equivalent(tree1, tree2)
 
 
 @dataclass(frozen=True)
@@ -163,10 +155,20 @@ class NonbinaryWitness:
 def nonbinary_witness(tree):
     """A certificate that the cord matroid is not binary, or None.
 
-    Needs three pairwise-disjoint cherries; the construction then produces
-    two circuits whose symmetric difference is independent, which no binary
-    matroid allows.  The three sets are verified against the rank oracle
-    before the witness is returned.
+    Needs three pairwise-disjoint cherries x1x4, x2x5 and x3x6; the
+    construction then produces two circuits whose symmetric difference is
+    independent, which no binary matroid allows.  Let u1, u2, u3 be the
+    cherries' vertices.  A cord xi-xj's path is the two pendant edges of its
+    ends plus the interior path between their vertices, and around the
+    hexagon x1x2..x6x1, as around the quad x1x3x4x6, each pendant edge and
+    each interior path between two of u1, u2, u3 appears as often with each
+    sign of the alternating sum: the sum cancels, so both are dependent.
+    On the six pendant coordinates each cord xi-xj is e_i + e_j.  Dropping
+    a cord leaves a path on distinct leaves, 5 cords of the hexagon or 3 of
+    the quad, and the vectors e_i + e_j along a path are independent (peel
+    off an end), so both are circuits.  Their symmetric difference is the
+    triangles x1x2x3 and x4x5x6 on disjoint leaves, and e_i + e_j around an
+    odd cycle is independent, so the triangles are.
     """
     cherry_pairs = [c for c, _proper in tree.cherries()]
     for trio in itertools.combinations(cherry_pairs, 3):
@@ -181,15 +183,6 @@ def nonbinary_witness(tree):
             quad = frozenset((cord(x[0], x[2]), cord(x[2], x[3]),
                               cord(x[3], x[5]), cord(x[5], x[0])))
             triangles = hexagon ^ quad
-            for circ in (hexagon, quad):
-                r = matroid.rank_of(tree, circ)
-                if r != len(circ) - 1:
-                    raise AssertionError("witness cycle is not rank-deficient by one")
-                for drop in circ:
-                    if matroid.rank_of(tree, circ - {drop}) != len(circ) - 1:
-                        raise AssertionError("witness cycle is not minimally dependent")
-            if matroid.rank_of(tree, triangles) != len(triangles):
-                raise AssertionError("witness symmetric difference is not independent")
             return NonbinaryWitness(leaves=tuple(x), hexagon=hexagon, quad=quad,
                                     triangles=triangles)
     return None

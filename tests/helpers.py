@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import itertools
+import random
 from functools import lru_cache
 
 import lassomatroid as lm
+from lassomatroid.tree import hang_leaf
 
 LETTERS = "abcdefgh"
 
@@ -29,6 +32,20 @@ def trees_on(n):
 @lru_cache(maxsize=None)
 def binary_trees_on(n):
     return tuple(sorted(lm.enumerate_binary_xtrees(letters(n)), key=lm.XTree.canonical_form))
+
+
+def seeded_trees(seed, count, binary=False):
+    """Trees on 8 to 24 leaves, each grown leaf by leaf at seeded places
+    (on edges and on interior vertices, so not all binary; with ``binary``,
+    on edges only, which ``hang_leaf`` yields first)."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        labels = [f"x{i:02d}" for i in range(rng.randint(8, 24))]
+        t = lm.star_tree(labels[:3])
+        for x in labels[3:]:
+            places = len(t.edge_ids) if binary else None
+            t = rng.choice(list(itertools.islice(hang_leaf(t, x), places)))
+        yield t
 
 
 def interior_splits(t):

@@ -1,9 +1,10 @@
 """Independent oracles used to cross-check the package.
 
 Everything here is deliberately written from scratch against the raw
-definitions (set partitions, Prufer sequences, minors, minimal dependent
-sets, vertex enumeration, breadth-first distances and edge sides) so that
-it shares no code path with the modules it checks.
+definitions (set partitions, Prufer sequences, minors, bases and minimal
+dependent sets, vanishing subspaces, vertex enumeration, breadth-first
+distances and edge sides) so that it shares no code path with the modules
+it checks.
 """
 
 from __future__ import annotations
@@ -280,6 +281,40 @@ def gauss_jordan_rank(rows):
                 m[i] = [x - f * y if y else x for x, y in zip(m[i], m[rank])]
         rank += 1
     return rank
+
+
+def basis_set(vectors):
+    """Bases of the vector matroid on the keys of ``vectors``, brute force:
+    every key subset of the full rank's size whose rank is that size."""
+    keys = sorted(vectors)
+    r = gauss_jordan_rank([vectors[k] for k in keys])
+    return {frozenset(subset) for subset in itertools.combinations(keys, r)
+            if gauss_jordan_rank([vectors[k] for k in subset]) == r}
+
+
+def vanishing_dimension(rows, columns):
+    """Dimension of the span members of ``rows`` that vanish on ``columns``.
+
+    Gauss-Jordan elimination pivots on the given columns only, clearing a
+    pivot's column from every other row by integer cross-multiplication.
+    The rows it leaves zero there span exactly those members (the pivot rows
+    are independent on their pivot columns, where every other row is zero),
+    and their rank, by ``gauss_jordan_rank``, is the dimension.
+    """
+    m = [list(row) for row in rows]
+    rank = 0
+    for col in columns:
+        pivot = next((i for i in range(rank, len(m)) if m[i][col]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        p = m[rank][col]
+        for i in range(len(m)):
+            f = m[i][col]
+            if i != rank and f:
+                m[i] = [x * p - f * y for x, y in zip(m[i], m[rank])]
+        rank += 1
+    return gauss_jordan_rank(m[rank:])
 
 
 def minimal_dependent_sets(vectors, max_size):

@@ -10,6 +10,7 @@ import time
 from fractions import Fraction
 
 import lassomatroid as lm
+import oracles
 from lassomatroid import lasso, matroid, reconstruct, stargraph
 from helpers import cords, double_star, letters, snowflake, trees_on
 
@@ -115,8 +116,11 @@ def test_criterion_06_tree_recovery_roundtrip():
                 again = reconstruct.tree_from_oracle(matroid.rank_oracle(t), t.leaves)
                 assert lm.are_equivalent(t, again)
         shapes = trees_on(5)
+        bases = {t: oracles.basis_set({c: t.path_vector(c) for c in lm.all_cords(t.leaves)})
+                 for t in shapes}
         for t1, t2 in itertools.combinations_with_replacement(shapes, 2):
-            assert reconstruct.matroids_equal(t1, t2) == lm.are_equivalent(t1, t2)
+            assert (reconstruct.matroids_equal(t1, t2) == lm.are_equivalent(t1, t2)
+                    == (bases[t1] == bases[t2]))
         assert time.monotonic() - start < 900.0
         ok = True
     finally:
@@ -140,13 +144,19 @@ def test_criterion_07_bipartite_rank_structure():
                     two = sorted(lm.cross_cords(side_a, side_b))
                     for size in range(len(two) + 1):
                         for sub in itertools.combinations(two, size):
+                            sub = frozenset(sub)
                             r = matroid.rank_of(t, sub)
                             assert r <= full - 1
                             if r == full - 1:
-                                # connected: closure, hyperplane and extension
-                                # facts are all re-derived and cross-checked
-                                report = lasso.bipartite_analysis(t, frozenset(sub))
+                                # connected; the closure and the extensions
+                                # that the theorem gives match the rank oracle
+                                assert len(stargraph.analyze(t.leaves, sub).components) == 1
+                                report = lasso.bipartite_analysis(t, sub)
                                 assert report.is_hyperplane
+                                assert report.closure == matroid.closure(t, sub)
+                                assert report.lasso_extensions == {
+                                    c for c in lm.all_cords(t.leaves)
+                                    if matroid.rank_of(t, sub | {c}) == full}
         ok = True
     finally:
         _report(7, "two-sided weighting pattern and hyperplane structure, n <= 5", ok)
@@ -223,6 +233,8 @@ def test_criterion_11_collapse_and_restriction_identities():
             all_pairs = sorted(lm.all_cords(t.leaves))
             sub = rng.sample(all_pairs, rng.randint(0, len(all_pairs)))
             full, collapsed, gap = matroid.contract_rank_decomposition(t, F, sub)
+            surviving = [t.edge_column[e] for e in t.edge_ids if e not in F]
+            assert gap == oracles.vanishing_dimension(map(t.path_vector, sub), surviving)
             assert full == collapsed + gap
             assert gap <= len(F)
         for _ in range(500):
@@ -231,8 +243,8 @@ def test_criterion_11_collapse_and_restriction_identities():
             subset = rng.sample(t.leaves, k)
             pairs = sorted(lm.all_cords(subset))
             sub = rng.sample(pairs, rng.randint(0, len(pairs)))
-            r_full, r_sub = matroid.restriction_rank(t, subset, sub)
-            assert r_full == r_sub
+            restricted, _ = t.restrict(subset)
+            assert matroid.rank_of(t, sub) == matroid.rank_of(restricted, sub)
         ok = True
     finally:
         _report(11, "rank identities under collapse and restriction, 500 + 500 draws", ok)

@@ -8,7 +8,8 @@ import lassomatroid as lm
 from lassomatroid import lasso, matroid
 from lassomatroid.stargraph import analyze
 import oracles
-from helpers import cords, double_star, interior_splits, letters, trees_on, binary_trees_on
+from helpers import (binary_trees_on, cords, double_star, interior_splits, letters,
+                     seeded_trees, trees_on)
 
 
 def proper_cherry_caterpillar():
@@ -59,6 +60,15 @@ def test_pointed_covers_are_bases_and_strong():
                 for cover in lasso.pointed_covers(t, x):
                     assert matroid.verdict(t, cover).basis
                     assert lasso.is_topological_lasso(t, cover)
+
+
+def test_first_pointed_covers_are_bases_beyond_five_leaves():
+    # the first cover per anchor, on every 7-leaf binary shape and on seeded
+    # binary trees with 8 to 24 leaves
+    for t in [*binary_trees_on(7), *seeded_trees(31, 60, binary=True)]:
+        for x in t.leaves:
+            cover = next(lasso.pointed_covers(t, x))
+            assert len(cover) == 2 * t.n_leaves - 3 == matroid.rank_of(t, cover)
 
 
 def test_pointed_cover_intersections_force_caterpillar_ends():
@@ -512,10 +522,39 @@ def test_hyperplane_extension_equivalence():
 # -- rank-deficient topological lassos --------------------------------------------------
 
 
+def check_rank_deficient_topological(t, sub):
+    """The paper's conclusions for a topological lasso of less than full
+    rank: bipartite, of rank |E|-1, on a tree whose cherries are all proper,
+    and each extension that breaks bipartiteness is a strong lasso."""
+    full = len(t.edge_ids)
+    assert all(comp.bipartite for comp in analyze(t.leaves, sub).components)
+    assert matroid.rank_of(t, sub) == full - 1
+    assert all(proper for _c, proper in t.cherries())
+    for c in sorted(lasso.bipartite_analysis(t, sub).lasso_extensions):
+        assert matroid.rank_of(t, sub | {c}) == full
+        assert lm.is_topological_lasso(t, sub | {c})
+
+
+def test_rank_deficient_topological_lassos_on_every_small_cord_set():
+    # every cord subset of every 4- and 5-leaf shape; the rank comes first,
+    # so only rank-deficient sets reach the decider
+    found = 0
+    for t in [*trees_on(4), *trees_on(5)]:
+        full = len(t.edge_ids)
+        pool = sorted(lm.all_cords(t.leaves))
+        for s in range(1 << len(pool)):
+            sub = frozenset(c for i, c in enumerate(pool) if s >> i & 1)
+            if matroid.rank_of(t, sub) < full and lm.is_topological_lasso(t, sub):
+                check_rank_deficient_topological(t, sub)
+                found += 1
+    assert found == 66
+
+
 def test_rank_deficient_topological_structure_quartet(quartet):
     sub = lm.cross_cords("ac", "bd")
     report = lasso.topological_rank_structure(quartet, sub)
-    assert report.topological and report.conclusions_checked
+    assert report.topological
+    check_rank_deficient_topological(quartet, sub)
     assert report.all_cherries_proper
     assert report.exists_bipartite_topological
     assert report.exists_rank_deficient_topological
@@ -534,8 +573,9 @@ def test_rank_deficient_topological_structure_caterpillar():
     t = proper_cherry_caterpillar()
     sub = lm.cross_cords({"a", "d", "f"}, {"b", "c", "e"})
     report = lasso.topological_rank_structure(t, sub)
-    assert report.topological and report.conclusions_checked
+    assert report.topological
     assert report.rank == len(t.edge_ids) - 1
+    check_rank_deficient_topological(t, sub)
 
 
 def test_cherry_existence_conditions_evaluate_identically():

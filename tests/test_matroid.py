@@ -7,7 +7,7 @@ import oracles
 import lassomatroid as lm
 from lassomatroid import matroid
 from lassomatroid.exact import RowSpace
-from helpers import cords, letters, trees_on
+from helpers import cords, letters, seeded_trees, trees_on
 from lassomatroid.tree import hang_leaf
 
 
@@ -362,6 +362,16 @@ def test_contract_rank_decomposition_examples(quartet):
     assert matroid.contract_rank_decomposition(quartet, {f}, cords("ab")) == (1, 1, 0)
 
 
+def check_contract_rank_decomposition(t, F, sub):
+    """The collapse triple against the dimension of the span members that
+    vanish on every surviving edge, by Gauss-Jordan elimination."""
+    full, collapsed, gap = matroid.contract_rank_decomposition(t, F, sub)
+    surviving = [t.edge_column[e] for e in t.edge_ids if e not in F]
+    assert gap == oracles.vanishing_dimension(map(t.path_vector, sub), surviving)
+    assert full == collapsed + gap
+    assert gap <= len(F)
+
+
 def test_contract_rank_decomposition_random():
     rng = random.Random(41)
     pool = [t for n in (4, 5, 6) for t in trees_on(n)]
@@ -370,17 +380,29 @@ def test_contract_rank_decomposition_random():
         interior = t.interior_edge_ids
         F = rng.sample(interior, rng.randint(0, len(interior))) if interior else []
         sub = rng.sample(sorted(lm.all_cords(t.leaves)), rng.randint(0, len(lm.all_cords(t.leaves))))
-        full, collapsed, gap = matroid.contract_rank_decomposition(t, F, sub)
-        assert full == collapsed + gap
-        assert gap <= len(F)
+        check_contract_rank_decomposition(t, F, sub)
+
+
+def test_contract_rank_decomposition_beyond_six_leaves():
+    # one seeded draw on every 7-leaf shape and on seeded 8- to 24-leaf trees,
+    # each with at most twice as many cords as edges
+    rng = random.Random(43)
+    for t in [*trees_on(7), *seeded_trees(45, 60)]:
+        interior = t.interior_edge_ids
+        F = rng.sample(interior, rng.randint(0, len(interior)))
+        pool = sorted(lm.all_cords(t.leaves))
+        sub = rng.sample(pool, rng.randint(0, min(len(pool), 2 * len(t.edge_ids))))
+        check_contract_rank_decomposition(t, F, sub)
 
 
 def test_restriction_rank_examples(cat5):
-    r1, r2 = matroid.restriction_rank(cat5, {"a", "b", "d", "e"},
-                                      lm.all_cords("abde"))
-    assert r1 == r2 == 5
-    r1, r2 = matroid.restriction_rank(cat5, set(cat5.leaves), cords("ab", "cd"))
-    assert r1 == r2
+    # a cord set over a leaf subset has one rank in the tree and in its
+    # restriction to those leaves
+    for labels, sub in ((set("abde"), lm.all_cords("abde")),
+                        (set(cat5.leaves), cords("ab", "cd"))):
+        restricted, _ = cat5.restrict(labels)
+        assert matroid.rank_of(cat5, sub) == matroid.rank_of(restricted, sub)
+    assert matroid.rank_of(cat5, lm.all_cords("abde")) == 5
 
 
 def test_restriction_circuits_stay_circuits():
@@ -392,18 +414,6 @@ def test_restriction_circuits_stay_circuits():
             sub, _ = t.restrict(set(four))
             for circ in matroid.circuits(sub):
                 assert circ in whole
-
-
-def seeded_trees(seed, count):
-    """Trees on 8 to 24 leaves, each grown leaf by leaf at seeded places
-    (on edges and on interior vertices, so not all binary)."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        labels = [f"x{i:02d}" for i in range(rng.randint(8, 24))]
-        t = lm.star_tree(labels[:3])
-        for x in labels[3:]:
-            t = rng.choice(list(hang_leaf(t, x)))
-        yield t
 
 
 def test_leaf_rows_xor_to_packed_path_vectors():

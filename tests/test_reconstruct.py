@@ -4,9 +4,10 @@ import random
 import pytest
 
 import lassomatroid as lm
+import oracles
 from lassomatroid import matroid, reconstruct
 from lassomatroid.tree import hang_leaf, quartet_topology
-from helpers import cords, letters, snowflake, double_star, trees_on
+from helpers import cords, letters, snowflake, double_star, seeded_trees, trees_on
 
 
 def test_quartet_sets_from_oracle_basics(quartet, star4, cat5):
@@ -135,14 +136,16 @@ def test_matroids_equal_examples(quartet, star4):
 
 def test_matroids_equal_iff_equivalent_n4():
     shapes = trees_on(4)
+    bases = {t: oracles.basis_set({c: t.path_vector(c) for c in lm.all_cords(t.leaves)})
+             for t in shapes}
     for t1, t2 in itertools.combinations_with_replacement(shapes, 2):
-        assert reconstruct.matroids_equal(t1, t2) == lm.are_equivalent(t1, t2)
+        assert reconstruct.matroids_equal(t1, t2) == (bases[t1] == bases[t2])
 
 
 def test_matroids_equal_iff_equivalent_on_a_six_leaf_sample():
-    # at the default bound: each sampled shape against its own Newick text
-    # (equal, other edge ids), a random shape and itself with one interior
-    # edge collapsed (one split apart)
+    # each sampled shape against its own Newick text (equal, other edge ids),
+    # a random shape and itself with one interior edge collapsed (one split
+    # apart), compared with their basis sets
     rng = random.Random(23)
     shapes = trees_on(6)
     for t in rng.sample(shapes, 10):
@@ -150,7 +153,19 @@ def test_matroids_equal_iff_equivalent_on_a_six_leaf_sample():
         if t.interior_edge_ids:
             others.append(t.contract([rng.choice(t.interior_edge_ids)]))
         for other in others:
-            assert reconstruct.matroids_equal(t, other) == lm.are_equivalent(t, other)
+            assert reconstruct.matroids_equal(t, other) \
+                == (set(matroid.bases(t)) == set(matroid.bases(other)))
+
+
+def test_matroids_equal_beyond_the_enumeration_bound():
+    # no size bound: a seeded tree on up to 24 leaves equals its own Newick
+    # text, and the rank oracle reads other quartets once an edge is collapsed
+    for t in seeded_trees(47, 3):
+        assert reconstruct.matroids_equal(t, lm.tree_from_newick(t.to_newick()))
+        other = t.contract([t.interior_edge_ids[0]])
+        assert not reconstruct.matroids_equal(t, other)
+        assert (reconstruct.quartet_set_from_oracle(matroid.rank_oracle(t), t.leaves)
+                != reconstruct.quartet_set_from_oracle(matroid.rank_oracle(other), t.leaves))
 
 
 def test_matroids_equal_leaf_set_guard(quartet, star5):
@@ -185,6 +200,23 @@ def test_witness_sets_verify_against_oracle():
         for drop in circ:
             assert matroid.verdict(t, circ - {drop}).independent
     assert matroid.verdict(t, w.triangles).independent
+
+
+def test_witnesses_are_circuits_beyond_six_leaves():
+    # every 7-leaf shape and seeded trees with 8 to 24 leaves: the hexagon and
+    # the quad have rank one below their size and lose none by dropping a
+    # cord, and their symmetric difference, the two triangles, is independent
+    found = 0
+    for t in [*trees_on(7), *seeded_trees(33, 60)]:
+        w = reconstruct.nonbinary_witness(t)
+        if w is None:
+            continue
+        rank = matroid.rank_oracle(t)
+        for circ in (w.hexagon, w.quad):
+            assert all(rank(circ - {drop}) == rank(circ) == len(circ) - 1 for drop in circ)
+        assert rank(w.triangles) == len(w.triangles) == 6
+        found += 1
+    assert found
 
 
 def test_is_binary_matroid_examples(star4):
