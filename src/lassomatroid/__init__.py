@@ -14,8 +14,8 @@ from .errors import NewickError, ScaleBoundError
 from .exact import LinearSystem, feasible, kernel_basis, rank, solve_coordinates
 from .lasso import (BipartiteReport, LassoReport, TopologicalRankReport,
                     bipartite_analysis, is_minimal_strong_lasso, is_t_cover,
-                    is_topological_lasso, lasso_report, leaf_bipartitions,
-                    pointed_covers, split_check, topological_rank_structure)
+                    is_topological_lasso, lasso_report, pointed_covers, split_check,
+                    topological_rank_structure)
 from .matroid import (MatroidVerdict, bases, circuits, closure, coloops,
                       contract_rank_decomposition, contraction_bases,
                       contraction_extends, rank_of, rank_oracle, verdict)

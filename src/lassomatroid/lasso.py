@@ -34,20 +34,6 @@ from .tree import _clusters, _hangings, all_cords, cord, cross_cords
 _topological_memo = {}
 
 
-def leaf_bipartitions(labels):
-    """All unordered bipartitions of the labels into two nonempty sides.
-
-    The side containing the smallest label comes first.
-    """
-    labels = sorted(labels)
-    first, rest = labels[0], labels[1:]
-    for r in range(len(rest) + 1):
-        for picked in itertools.combinations(rest, r):
-            side_b = set(rest) - set(picked)
-            if side_b:
-                yield (frozenset({first, *picked}), frozenset(side_b))
-
-
 def is_t_cover(tree, cords):
     """Every pair of edges meeting at an interior vertex lies on some cord's path.
 
@@ -426,51 +412,52 @@ class TopologicalRankReport:
 
 
 def topological_rank_structure(tree, cords, max_leaves=6):
-    """The cord set's rank and topological verdict, and the tree's four
-    cherry conditions.
+    """The cord set's rank and topological verdict, whether every cherry of
+    the tree is proper, and whether the tree has a bipartite topological
+    lasso, one of less than full rank, and one of rank exactly |E|-1.
 
-    The paper shows that a topological lasso of less than full rank is
-    bipartite of rank exactly |E|-1, that the tree then has only proper
-    cherries, and that each of its bipartiteness-breaking one-cord
-    extensions is a strong lasso; the tests check these conclusions on every
-    cord set of every tree with up to 5 leaves.  For the tree itself this
-    evaluates the four conditions the paper proves equivalent: a bipartite
-    topological lasso exists / one of deficient rank exists / one of rank
-    exactly |E|-1 exists / every cherry is proper.  The existence searches
-    range over the full two-sided sets of all leaf bipartitions, which is
-    exhaustive because any bipartite topological lasso extends to such a set
-    and supersets of topological lassos stay topological.
+    ``max_leaves`` bounds only the ``topological`` verdict, which is None
+    above it.  Below four leaves the three existence conditions are None.
+    From four leaves on they all hold exactly when no interior vertex is
+    adjacent to three or more leaves.  A topological lasso of rank |E|-1 is
+    one of less than full rank, and the paper's structure result makes
+    that one bipartite.  So it suffices to show that the rule is necessary
+    for a bipartite one and gives one of rank |E|-1:
+
+    - Only if.  A bipartite topological lasso lies inside the two-sided set
+      of a bipartition that extends its colouring, and a superset of a
+      topological lasso is still one.  From four leaves on that set is a
+      t-cover (proof in ``is_topological_lasso``), so both sides meet every
+      cherry (proof in ``split_check``).  Three leaves at one vertex form
+      three cherries, and two sides cannot split all three.
+    - If.  Put the leaves of each vertex, at most two, on opposite sides.
+      A vertex at an end of the tree's interior has two, so neither side is
+      empty.  Both sides meet every cherry, so by the split theorem of
+      Dress, Huber & Steel ("'Lassoing' a phylogenetic tree I", J. Math.
+      Biol. 65, 2012) the two-sided set is a topological lasso.  It is
+      bipartite, so its rank is at most |E|-1 (proof in
+      ``bipartite_analysis``), and the paper's structure result makes it
+      exactly |E|-1.
+
+    A cherry is proper when its vertex has degree 3, the co-loop condition.
+    The existence conditions do not need it: on ``((b,c),(d,e),a,f)`` the
+    cherry a-f sits on a vertex of degree 4, and the two-sided set of
+    abd|cef is a topological lasso of rank |E|-1.
     """
     cords = frozenset(cords)
-    full = len(tree.edge_ids)
     r = matroid.rank_of(tree, cords)
     try:
         topological = is_topological_lasso(tree, cords, max_leaves=max_leaves)
     except ScaleBoundError:
         topological = None
-    all_proper = all(proper for _c, proper in tree.cherries())
-
-    if len(tree.leaves) < 4:
-        exists_bip = exists_deficient = exists_hyper = None
-    else:
-        exists_bip = exists_deficient = exists_hyper = False
-        try:
-            for side_a, side_b in leaf_bipartitions(tree.leaves):
-                two_sided = cross_cords(side_a, side_b)
-                if not is_topological_lasso(tree, two_sided, max_leaves=max_leaves):
-                    continue
-                exists_bip = True
-                rr = matroid.rank_of(tree, two_sided)
-                if rr < full:
-                    exists_deficient = True
-                if rr == full - 1:
-                    exists_hyper = True
-        except ScaleBoundError:
-            exists_bip = exists_deficient = exists_hyper = None
-
+    exists = None
+    if len(tree.leaves) >= 4:
+        leaves_at = Counter(tree.neighbors(tree.leaf_vertex(x))[0][0] for x in tree.leaves)
+        exists = max(leaves_at.values()) < 3
     return TopologicalRankReport(
-        rank=r, topological=topological, all_cherries_proper=all_proper,
-        exists_bipartite_topological=exists_bip,
-        exists_rank_deficient_topological=exists_deficient,
-        exists_hyperplane_rank_topological=exists_hyper,
+        rank=r, topological=topological,
+        all_cherries_proper=all(proper for _c, proper in tree.cherries()),
+        exists_bipartite_topological=exists,
+        exists_rank_deficient_topological=exists,
+        exists_hyperplane_rank_topological=exists,
     )

@@ -250,7 +250,9 @@ class XTree:
     def cherries(self):
         """All leaf pairs whose pendant edges share a vertex, with a properness flag.
 
-        The pair is proper when the shared vertex has degree 3.
+        The pair is proper when the shared vertex has degree 3, the co-loop
+        condition: the cord of a cherry is a co-loop of the cord matroid
+        exactly when the cherry is proper.
         """
         by_neighbor = {}
         for v, label in enumerate(self._leaves):

@@ -12,7 +12,8 @@ from fractions import Fraction
 import lassomatroid as lm
 import oracles
 from lassomatroid import lasso, matroid, reconstruct, stargraph
-from helpers import cords, double_star, letters, snowflake, trees_on
+from helpers import (cords, double_star, leaf_bipartitions, letters,
+                     no_vertex_holds_three_leaves, snowflake, trees_on)
 
 
 def _report(number, label, ok):
@@ -133,7 +134,7 @@ def test_criterion_07_bipartite_rank_structure():
         for n in (3, 4, 5):
             for t in trees_on(n):
                 full = len(t.edge_ids)
-                for side_a, side_b in lasso.leaf_bipartitions(t.leaves):
+                for side_a, side_b in leaf_bipartitions(t.leaves):
                     weighting = {k: Fraction(v) for k, v in
                                  lasso.side_weighting(t, side_a, side_b).items()}
                     for c in lm.all_cords(t.leaves):
@@ -165,23 +166,25 @@ def test_criterion_07_bipartite_rank_structure():
 def test_criterion_08_split_equivalences_and_cherry_conditions():
     ok = False
     try:
-        for n in (4, 5):
+        for n in (4, 5, 6):
             for t in trees_on(n):
-                for side_a, side_b in lasso.leaf_bipartitions(t.leaves):
+                exists = False
+                for side_a, side_b in leaf_bipartitions(t.leaves):
                     two = lm.cross_cords(side_a, side_b)
                     topological = lm.is_topological_lasso(t, two)
                     cover = lasso.is_t_cover(t, two)
                     split = lasso.split_check(t, side_a, side_b)
                     assert topological == cover == split
+                    exists = exists or topological
+                # some two-sided set is a topological lasso exactly when no
+                # interior vertex has three leaves, and the library says so
+                assert exists == no_vertex_holds_three_leaves(t)
                 report = lasso.topological_rank_structure(t, frozenset())
-                flags = {report.all_cherries_proper,
-                         report.exists_bipartite_topological,
-                         report.exists_rank_deficient_topological,
-                         report.exists_hyperplane_rank_topological}
-                assert len(flags) == 1
+                assert report.exists_bipartite_topological == exists
         ok = True
     finally:
-        _report(8, "three split conditions agree; four cherry conditions agree", ok)
+        _report(8, "three split conditions agree on every bipartition, n <= 6; "
+                   "a bipartite topological lasso exists iff no vertex has three leaves", ok)
 
 
 def test_criterion_09_nonbinary_witness():

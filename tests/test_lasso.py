@@ -8,8 +8,8 @@ import lassomatroid as lm
 from lassomatroid import lasso, matroid
 from lassomatroid.stargraph import analyze
 import oracles
-from helpers import (binary_trees_on, cords, double_star, interior_splits, letters,
-                     seeded_trees, trees_on)
+from helpers import (binary_trees_on, cords, double_star, interior_splits, leaf_bipartitions,
+                     letters, no_vertex_holds_three_leaves, seeded_trees, trees_on)
 
 
 def proper_cherry_caterpillar():
@@ -137,7 +137,7 @@ def test_topological_scale_guard():
 def test_topological_matches_split_characterization():
     for n in (4, 5):
         for t in trees_on(n):
-            for side_a, side_b in lasso.leaf_bipartitions(t.leaves):
+            for side_a, side_b in leaf_bipartitions(t.leaves):
                 two = lm.cross_cords(side_a, side_b)
                 topological = lm.is_topological_lasso(t, two)
                 assert topological == lasso.split_check(t, side_a, side_b)
@@ -429,7 +429,7 @@ def test_minimal_strong_lasso_drops_fail():
 def test_side_weighting_pattern():
     for n in (4, 5):
         for t in trees_on(n):
-            for side_a, side_b in lasso.leaf_bipartitions(t.leaves):
+            for side_a, side_b in leaf_bipartitions(t.leaves):
                 w = {k: Fraction(v) for k, v in
                      lasso.side_weighting(t, side_a, side_b).items()}
                 for c in lm.all_cords(t.leaves):
@@ -500,14 +500,14 @@ def test_bipartite_rank_never_full():
     for n in (4, 5):
         for t in trees_on(n):
             full = len(t.edge_ids)
-            for side_a, side_b in lasso.leaf_bipartitions(t.leaves):
+            for side_a, side_b in leaf_bipartitions(t.leaves):
                 assert matroid.rank_of(t, lm.cross_cords(side_a, side_b)) < full
 
 
 def test_hyperplane_extension_equivalence():
     for t in trees_on(4):
         full = len(t.edge_ids)
-        for side_a, side_b in lasso.leaf_bipartitions(t.leaves):
+        for side_a, side_b in leaf_bipartitions(t.leaves):
             two = sorted(lm.cross_cords(side_a, side_b))
             for size in range(2, len(two) + 1):
                 for sub in itertools.combinations(two, size):
@@ -524,12 +524,13 @@ def test_hyperplane_extension_equivalence():
 
 def check_rank_deficient_topological(t, sub):
     """The paper's conclusions for a topological lasso of less than full
-    rank: bipartite, of rank |E|-1, on a tree whose cherries are all proper,
-    and each extension that breaks bipartiteness is a strong lasso."""
+    rank: bipartite, of rank |E|-1, on a tree with no interior vertex
+    adjacent to three or more leaves, and each extension that breaks
+    bipartiteness is a strong lasso."""
     full = len(t.edge_ids)
     assert all(comp.bipartite for comp in analyze(t.leaves, sub).components)
     assert matroid.rank_of(t, sub) == full - 1
-    assert all(proper for _c, proper in t.cherries())
+    assert no_vertex_holds_three_leaves(t)
     for c in sorted(lasso.bipartite_analysis(t, sub).lasso_extensions):
         assert matroid.rank_of(t, sub | {c}) == full
         assert lm.is_topological_lasso(t, sub | {c})
@@ -578,12 +579,49 @@ def test_rank_deficient_topological_structure_caterpillar():
     check_rank_deficient_topological(t, sub)
 
 
+def test_rank_deficient_topological_lasso_with_an_improper_cherry():
+    # the cherry a-f sits on a vertex of degree 4 with two interior neighbours
+    t = lm.tree_from_newick("((b,c),(d,e),a,f);")
+    sub = lm.cross_cords("abd", "cef")
+    assert lm.is_topological_lasso(t, sub)
+    assert matroid.rank_of(t, sub) == 7 == len(t.edge_ids) - 1
+    check_rank_deficient_topological(t, sub)
+    assert (lm.cord("a", "f"), False) in t.cherries()
+    report = lasso.topological_rank_structure(t, sub)
+    assert report.exists_bipartite_topological is True
+    assert report.exists_rank_deficient_topological is True
+    assert report.exists_hyperplane_rank_topological is True
+    assert report.all_cherries_proper is False
+
+
+def searched_existence(t, max_leaves=6):
+    """The three existence conditions by exhaustive search, the reference for
+    ``topological_rank_structure``: a bipartite topological lasso lies in the
+    two-sided set of some leaf bipartition, and a superset of a topological
+    lasso is one."""
+    full = len(t.edge_ids)
+    ranks = [matroid.rank_of(t, two)
+             for two in (lm.cross_cords(a, b) for a, b in leaf_bipartitions(t.leaves))
+             if lm.is_topological_lasso(t, two, max_leaves=max_leaves)]
+    return (bool(ranks), any(r < full for r in ranks), any(r == full - 1 for r in ranks))
+
+
 def test_cherry_existence_conditions_evaluate_identically():
-    for n in (4, 5):
-        for t in trees_on(n):
-            report = lasso.topological_rank_structure(t, frozenset())
-            flags = {report.all_cherries_proper,
-                     report.exists_bipartite_topological,
-                     report.exists_rank_deficient_topological,
-                     report.exists_hyperplane_rank_topological}
-            assert len(flags) == 1
+    # every shape on 4 to 6 leaves, and the first 7-leaf shape of each profile
+    # of (degree, adjacent leaves) over its interior vertices
+    profiles = {}
+    for t in trees_on(7):
+        profile = sorted((t.degree(v), sum(w < t.n_leaves for w, _ in t.neighbors(v)))
+                         for v in t.interior_vertices)
+        profiles.setdefault(tuple(profile), t)
+    assert len(profiles) == 13
+    cases = [(t, 6) for n in (4, 5, 6) for t in trees_on(n)]
+    cases += [(t, 7) for t in profiles.values()]
+    for t, max_leaves in cases:
+        # the rule needs no leaf bound; the reference search does
+        report = lasso.topological_rank_structure(t, frozenset())
+        exists = no_vertex_holds_three_leaves(t)
+        assert (report.exists_bipartite_topological,
+                report.exists_rank_deficient_topological,
+                report.exists_hyperplane_rank_topological) == (exists,) * 3
+        assert searched_existence(t, max_leaves) == (exists,) * 3
