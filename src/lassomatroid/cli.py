@@ -209,14 +209,14 @@ def _cmd_star(args):
         raise _UsageError(f"star rules need a star tree, with one interior vertex; "
                           f"this tree has {interior}")
     labels = tree.leaves
-    components = stargraph.analyze(labels, cords).components
-    closure = stargraph.star_closure(labels, cords)
+    report = stargraph.analyze(labels, cords)
+    components, closure = report.components, report.closure
     record = {
-        "lasso": stargraph.star_is_lasso(labels, cords),
-        "independent": stargraph.star_is_independent(labels, cords),
-        "basis": stargraph.star_is_basis(labels, cords),
-        "circuit": stargraph.star_is_circuit(labels, cords),
-        "rank": stargraph.star_rank(labels, cords),
+        "lasso": report.lasso,
+        "independent": report.independent,
+        "basis": report.basis,
+        "circuit": report.circuit,
+        "rank": report.rank,
         "closure": _json(closure),
         "components": [
             {"vertices": sorted(comp.vertices), "edges": _json(comp.edges),

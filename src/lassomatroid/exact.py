@@ -239,6 +239,22 @@ class RowSpace:
             kept.append(entry)
         return kept, vanished
 
+    def residual(self, row):
+        """The residual of ``row`` at the full Bareiss scale, linear in ``row``.
+
+        ``reduce`` skips each step whose pivot entry is zero, so its residual
+        carries the divisor ``d`` of the last step applied.  Scaled by
+        ``a_k / d``, with ``a_k`` the newest pivot entry, it is the row that
+        every step taken in turn gives: a skipped step ``i`` only scales by
+        ``a_i / a_(i-1)``, and those factors telescope.  Each such step is
+        linear in the row, so the residual of a combination of rows is the
+        same combination of their residuals.  It is the residual ``add``
+        stores, and its main part is zero exactly when ``contains`` holds.
+        """
+        x, d = self.reduce(row)
+        last = self._stack[-1][3] if self._stack else 1
+        return x if d == last else x * last // d
+
     def contains(self, row):
         """Whether the main part of ``row`` lies in the span of the stored rows."""
         return not self.reduce(row)[0] & self._main
@@ -268,6 +284,10 @@ class RowSpace:
     def pop(self):
         """Drop the most recently added pivot row (for DFS backtracking)."""
         self._stack.pop()
+
+    def clear(self):
+        """Drop every stored row, so the space can be reused from rank 0."""
+        self._stack.clear()
 
 
 def rank(matrix):

@@ -40,11 +40,13 @@ def rank_of(tree, cords, packed=None):
     """Rank of the stacked path vectors of the given cords.
 
     ``packed``, when given, keeps each leaf's packed row between calls on
-    the same tree (``rank_oracle`` passes one), so no row is packed twice.
+    the same tree (``rank_oracle`` passes one), and its space is cleared and
+    reused, so no row is packed twice and no space is built per call.
     """
-    space = RowSpace(len(tree.edge_ids))
     if packed is None:
-        packed = _LeafRows(tree, space)
+        packed = _LeafRows(tree, RowSpace(len(tree.edge_ids)))
+    space = packed.space
+    space.clear()
     for a, b in cords:
         space.add(packed[a] ^ packed[b])
     return space.rank
@@ -53,7 +55,9 @@ def rank_of(tree, cords, packed=None):
 def rank_oracle(tree):
     """The rank function of the tree's cord matroid, as a plain callable.
 
-    The callable packs each leaf's row once, for all its queries.
+    The callable packs each leaf's row once and holds one mutable
+    ``RowSpace``, cleared at the start of every query, for all its queries;
+    so one oracle must not be shared across threads.
     """
     packed = _LeafRows(tree, RowSpace(len(tree.edge_ids)))
     return lambda cords: rank_of(tree, cords, packed)
@@ -84,19 +88,39 @@ def verdict(tree, cords):
 def closure(tree, cords):
     """All cords whose path vector lies in the span of the given ones.
 
-    The given cords lie in it, and when they span the edge space every cord
-    does, so only the others are reduced, and only short of full rank.
+    When the given cords span the edge space every cord does, so nothing is
+    reduced.  Short of that, the residual over the given cords at the full
+    Bareiss scale (``RowSpace.residual``) is linear, and a cord lies in the
+    span exactly when its residual is zero (the space has no tail).  Let
+    ``L_x`` be leaf x's row in ``tree.leaf_columns``, 1 on the edges from x
+    up to the root.  Both leaves of a cord a-b lie below an edge exactly
+    when it is above their last common ancestor, so ``L_a & L_b`` is that
+    ancestor's row, and the cord's path vector is ``L_a + L_b - 2*(L_a &
+    L_b)``.  Its residual is therefore the same combination of the three
+    rows' residuals: the cord is in the span exactly when its leaves'
+    residuals add up to twice its ancestor's.  So only the distinct leaf and
+    ancestor rows, at most 2n - 2 of them, are reduced, each once.
     """
     cords = frozenset(cords)
     space = RowSpace(len(tree.edge_ids))
     rows = _LeafRows(tree, space)
     for a, b in cords:
         space.add(rows[a] ^ rows[b])
-    everything = all_cords(tree.leaves)
     if space.rank == space.ncols:
-        return everything
-    return frozenset(c for c in everything
-                     if c in cords or space.contains(rows[c[0]] ^ rows[c[1]]))
+        return all_cords(tree.leaves)
+    columns, labels = tree.leaf_columns, tree.leaves
+    leaf = [space.residual(rows[x]) for x in labels]
+    doubled = {}   # ancestor row -> twice its residual
+    out = []
+    for j, (bits_j, res_j) in enumerate(zip(columns, leaf)):
+        for i in range(j):
+            bits = columns[i] & bits_j
+            twice = doubled.get(bits)
+            if twice is None:
+                twice = doubled[bits] = space.residual(space.pack_bits(bits)) << 1
+            if leaf[i] + res_j == twice:
+                out.append((labels[i], labels[j]))   # the labels are sorted
+    return frozenset(out)
 
 
 def circuits(tree, max_size=None, max_leaves=7):

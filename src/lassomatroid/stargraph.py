@@ -28,11 +28,65 @@ class Component:
 
 @dataclass(frozen=True)
 class ComponentReport:
+    """The components of a cord graph, and the star rules read off them."""
+
     components: tuple
 
     @property
     def bipartite_count(self):
         return sum(1 for c in self.components if c.bipartite)
+
+    @property
+    def rank(self):
+        """Vertex count minus the number of bipartite components (singletons count)."""
+        return sum(len(c.vertices) for c in self.components) - self.bipartite_count
+
+    @property
+    def lasso(self):
+        """Spanning test: no connected component may be bipartite.
+
+        A component with a 2-coloring (singletons included) admits a nonzero
+        weighting annihilated by all its cords, so any such component kills
+        the spanning property.
+        """
+        return all(not c.bipartite for c in self.components)
+
+    @property
+    def independent(self):
+        """Each component is a tree, or carries exactly one cycle of odd length."""
+        return all(c.cycle_count == 0 or (c.cycle_count == 1 and not c.bipartite)
+                   for c in self.components)
+
+    @property
+    def basis(self):
+        """Every component carries exactly one cycle, of odd length."""
+        return all(c.cycle_count == 1 and not c.bipartite for c in self.components)
+
+    @property
+    def closure(self):
+        """Complete graph over the non-bipartite part, plus each bipartite
+        component's full two-sided cord set."""
+        odd_support = set()
+        out = set()
+        for comp in self.components:
+            if not comp.bipartite:
+                odd_support |= comp.vertices
+            else:
+                side_a, side_b = comp.sides
+                out |= {cord(a, b) for a in side_a for b in side_b}
+        out |= {cord(a, b) for a, b in itertools.combinations(sorted(odd_support), 2)}
+        return frozenset(out)
+
+    @property
+    def circuit(self):
+        """Minimal dependence by the definition: the rank is one below the
+        size, and dropping any one cord leaves the rest independent.  Only
+        once the rank test passes is the graph analysed again, once per
+        dropped cord."""
+        labels = frozenset().union(*(c.vertices for c in self.components))
+        cords = frozenset().union(*(c.edges for c in self.components))
+        return (self.rank == len(cords) - 1
+                and all(analyze(labels, cords - {c}).independent for c in sorted(cords)))
 
 
 def analyze(labels, cords):
@@ -82,64 +136,36 @@ def analyze(labels, cords):
 
 
 def star_is_lasso(labels, cords):
-    """Spanning test: no connected component may be bipartite.
-
-    A component with a 2-coloring (singletons included) admits a nonzero
-    weighting annihilated by all its cords, so any such component kills the
-    spanning property.
-    """
-    return all(not c.bipartite for c in analyze(labels, cords).components)
+    """Whether the cords span: ``ComponentReport.lasso``."""
+    return analyze(labels, cords).lasso
 
 
 def star_is_independent(labels, cords):
-    """Each component is a tree, or carries exactly one cycle of odd length."""
-    for c in analyze(labels, cords).components:
-        if c.cycle_count == 0:
-            continue
-        if c.cycle_count == 1 and not c.bipartite:
-            continue
-        return False
-    return True
+    """``ComponentReport.independent``."""
+    return analyze(labels, cords).independent
 
 
 def star_is_basis(labels, cords):
-    """Every component carries exactly one cycle, of odd length."""
-    return all(c.cycle_count == 1 and not c.bipartite
-               for c in analyze(labels, cords).components)
+    """``ComponentReport.basis``."""
+    return analyze(labels, cords).basis
 
 
 def star_rank(labels, cords):
-    """Vertex count minus the number of bipartite components (singletons count)."""
-    report = analyze(labels, cords)
-    return len(set(labels)) - report.bipartite_count
+    """``ComponentReport.rank``."""
+    return analyze(labels, cords).rank
 
 
 def star_closure(labels, cords):
-    """Complete graph over the non-bipartite part, plus each bipartite component's
-    full two-sided cord set."""
-    report = analyze(labels, cords)
-    odd_support = set()
-    out = set()
-    for comp in report.components:
-        if not comp.bipartite:
-            odd_support |= comp.vertices
-        else:
-            side_a, side_b = comp.sides
-            out |= {cord(a, b) for a in side_a for b in side_b}
-    out |= {cord(a, b) for a, b in itertools.combinations(sorted(odd_support), 2)}
-    return frozenset(out)
+    """``ComponentReport.closure``."""
+    return analyze(labels, cords).closure
 
 
 def star_is_circuit(labels, cords):
-    """Minimal dependent sets of the star matroid, by the definition: the
-    rank is one below the size, and dropping any one cord leaves the rest
-    independent.
+    """Minimal dependent sets of the star matroid (``ComponentReport.circuit``).
 
     These are the circuits of the all-negative signed graph (Zaslavsky,
     "Signed graphs", Discrete Appl. Math. 4, 1982): the even cycles, the
     pairs of odd cycles sharing one vertex, and the pairs of disjoint odd
     cycles joined by a simple path meeting each cycle in a single end.
     """
-    cords = frozenset(cords)
-    return (star_rank(labels, cords) == len(cords) - 1
-            and all(star_is_independent(labels, cords - {c}) for c in sorted(cords)))
+    return analyze(labels, cords).circuit

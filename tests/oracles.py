@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
-from math import comb, factorial
+from math import comb, factorial, gcd
 
 
 # -- counting leaf-labeled trees -------------------------------------------------
@@ -261,10 +261,13 @@ def vertex_feasible(equalities, strict, weak, box=1000):
 
 
 def gauss_jordan_rank(rows):
-    """Rank by Gauss-Jordan elimination, pivoting column by column.
+    """Rank by Gauss-Jordan elimination over the integers, pivoting column
+    by column.
 
-    Each pivot row is divided by its pivot as a Fraction and cleared from
-    every other row; zero entries are left as they are.
+    Each pivot's column is cleared from every other row by integer
+    cross-multiplication, and a changed row is divided by the gcd of its
+    entries, which keeps the entries small; no entry is ever a fraction.
+    The rows must hold integers.
     """
     m = [list(row) for row in rows]
     rank = 0
@@ -273,12 +276,14 @@ def gauss_jordan_rank(rows):
         if pivot is None:
             continue
         m[rank], m[pivot] = m[pivot], m[rank]
-        pv = Fraction(m[rank][col])
-        m[rank] = [x / pv if x else x for x in m[rank]]
+        top = m[rank]
+        p = top[col]
         for i in range(len(m)):
             f = m[i][col]
             if i != rank and f:
-                m[i] = [x - f * y if y else x for x, y in zip(m[i], m[rank])]
+                row = [x * p - f * y for x, y in zip(m[i], top)]
+                g = gcd(*row)
+                m[i] = [x // g for x in row] if g > 1 else row
         rank += 1
     return rank
 

@@ -147,6 +147,45 @@ def test_rowspace_advance_gives_the_pairs_reduce_returns():
         assert space.rank == rank([row[:ncols] for row in rows])
 
 
+def test_rowspace_residual_is_linear_and_vanishes_exactly_on_the_span():
+    # At the full Bareiss scale the residual of a combination of rows is
+    # that combination of their residuals; its main part is zero exactly
+    # when the row is in the span, and it is the row ``add`` stores.
+    rng = random.Random(30)
+    for case in range(300):
+        tail = case % 3
+        ncols = rng.randint(1, 6)
+        space = RowSpace(ncols, tail=tail, bound=48)
+
+        def draw():
+            return [rng.choice((-2, -1, 0, 0, 1, 2)) for _ in range(ncols + tail)]
+
+        for _ in range(rng.randint(0, ncols)):
+            space.add(draw())
+        for _ in range(4):
+            x, y = draw(), draw()
+            p, q = rng.randint(-6, 6), rng.randint(-6, 6)
+            combined = [p * a + q * b for a, b in zip(x, y)]
+            assert space.residual(combined) == p * space.residual(x) + q * space.residual(y)
+            main = space.unpack(space.residual(x))[:ncols]
+            assert not any(main) == space.contains(x)
+            assert not any(main[c] for c in space.pivots)
+        row = draw()
+        expected = space.residual(row)
+        if space.add(row):
+            assert space._stack[-1][0] == expected
+
+
+def test_rowspace_clear_empties_the_space_for_reuse():
+    space = RowSpace(3, tail=1)
+    assert space.add([1, 1, 0, 1]) and space.add([0, 1, 1, 0])
+    space.clear()
+    assert space.rank == 0 and space.pivots == ()
+    assert not space.contains([1, 1, 0, 0])
+    assert space.residual([1, 1, 0, 1]) == space.pack([1, 1, 0, 1])
+    assert space.add([0, 0, 1, 0]) and space.pivots == (2,)
+
+
 def test_rowspace_refuses_entries_beyond_its_bound_and_never_wraps_them():
     space = RowSpace(2, tail=1)
     assert space.add([1, 1, 0])

@@ -492,3 +492,74 @@ def test_closure_matches_rank_oracle_at_scale():
             assert matroid.closure(t, chosen) == want
             spanning += want == frozenset(pool)
     assert spanning >= 11
+
+
+def test_one_rank_oracle_answers_interleaved_queries_like_fresh_rank_of():
+    # One oracle reuses one space; each answer must equal a fresh rank_of,
+    # also right after a query that raised partway through on an unknown
+    # label, which leaves rows in the space: the space is cleared at the
+    # start of a query.
+    rng = random.Random(30)
+    for t in [*trees_on(5), *seeded_trees(31, 6)]:
+        oracle = matroid.rank_oracle(t)
+        pool = sorted(lm.all_cords(t.leaves))
+        first = pool[0]
+        queries = [(), pool, [first, first, *pool[:3], first], pool[:1] * 3,
+                   rng.sample(pool, len(pool) // 2), (),
+                   [*rng.sample(pool, 3), (first[0], "zz"), *pool], pool[1:2],
+                   [*pool, ("zz", first[1])], (), [*pool[::2], *pool[::2]]]
+        for query in queries:
+            if any("zz" in c for c in query):
+                with pytest.raises(ValueError, match="unknown leaf label 'zz'"):
+                    oracle(query)
+                continue
+            assert oracle(query) == matroid.rank_of(t, query), (t, query)
+
+
+def test_rank_of_reuses_the_space_of_an_empty_leaf_row_cache(quartet):
+    # An empty _LeafRows is falsy, as it is a dict; rank_of must still take
+    # its space, clear it and count into it, not build a space of its own.
+    space = RowSpace(len(quartet.edge_ids))
+    packed = matroid._LeafRows(quartet, space)
+    assert not packed
+    space.add(quartet.path_vector(lm.cord("a", "b")))
+    assert matroid.rank_of(quartet, (), packed) == 0
+    assert space.rank == 0
+    assert matroid.rank_of(quartet, cords("ab", "cd", "ac"), packed) == 3
+    assert space.rank == 3 and packed.space is space and set(packed) == set("abcd")
+
+
+def _closure_by_contains(t, chosen):
+    """{c : c's path vector lies in the span of the chosen cords}, one
+    ``RowSpace.contains`` per cord."""
+    space = RowSpace(len(t.edge_ids))
+    for c in chosen:
+        space.add(t.path_vector(c))
+    return frozenset(c for c in lm.all_cords(t.leaves) if space.contains(t.path_vector(c)))
+
+
+def test_closure_matches_one_containment_test_per_cord_short_of_full_rank():
+    # Seeded sets of rank exactly m - 1 and m - 2, and the empty set, on
+    # binary, collapsed and star trees on 8 to 24 leaves: a greedy basis in
+    # seeded order less one or two of its cords, plus cords from the span
+    # of the rest, in seeded order.
+    rng = random.Random(32)
+    trees = []
+    for t in seeded_trees(33, 6, binary=True):
+        inner = t.interior_edge_ids
+        trees += [t, t.contract(rng.sample(inner, len(inner) // 3)), lm.star_tree(t.leaves)]
+    for t in trees:
+        pool = sorted(lm.all_cords(t.leaves))
+        m = len(t.edge_ids)
+        assert matroid.closure(t, ()) == _closure_by_contains(t, ()) == frozenset()
+        space = RowSpace(m)
+        basis = [c for c in rng.sample(pool, len(pool)) if space.add(t.path_vector(c))]
+        for drop in (1, 2):
+            kept = basis[:-drop]
+            spanned = _closure_by_contains(t, kept)
+            extra = rng.sample(sorted(spanned), min(len(spanned), 10))
+            chosen = rng.sample([*kept, *extra], len(kept) + len(extra))
+            assert matroid.rank_of(t, chosen) == m - drop
+            got = matroid.closure(t, chosen)
+            assert got == spanned, (t.to_newick(), drop)
+            assert len(got) < len(pool)

@@ -138,3 +138,37 @@ def test_circuit_rule_accepts_only_minimal_dependent_sets():
             for c in sub:
                 assert matroid.verdict(star, sub - {c}).independent
     assert hits > 5
+
+
+def test_one_report_answers_every_rule_as_the_wrappers_do():
+    rng = random.Random(30)
+    labels = letters(6)
+    pool = sorted(lm.all_cords(labels))
+    for _ in range(300):
+        sub = frozenset(rng.sample(pool, rng.randint(0, 9)))
+        report = stargraph.analyze(labels, sub)
+        assert (report.rank, report.lasso, report.independent, report.basis,
+                report.closure, report.circuit) == (
+            stargraph.star_rank(labels, sub), stargraph.star_is_lasso(labels, sub),
+            stargraph.star_is_independent(labels, sub), stargraph.star_is_basis(labels, sub),
+            stargraph.star_closure(labels, sub), stargraph.star_is_circuit(labels, sub))
+
+
+def test_star_command_analyses_its_cord_graph_once_unless_the_circuit_rank_test_passes(
+        monkeypatch, tmp_path, capsys):
+    # The circuit rule analyses the graph again, once per dropped cord, only
+    # when its rank is one below its size.
+    from lassomatroid import cli
+    calls = []
+    analyze = stargraph.analyze
+    monkeypatch.setattr(stargraph, "analyze",
+                        lambda *a: calls.append(1) or analyze(*a))
+    for text, expected in (("a b\nb c\nc a\n", 1),
+                           ("a b\nb c\nc a\nc d\nd e\ne f\nf d\n", 8)):
+        path = tmp_path / "cords.txt"
+        path.write_text(text)
+        calls.clear()
+        assert cli.main(["star", "--newick", "(a,b,c,d,e,f);", "--cords", str(path),
+                         "--json"]) == 0
+        capsys.readouterr()
+        assert len(calls) == expected
